@@ -16,10 +16,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/adversary"
 	"repro/internal/agreement"
-	"repro/internal/agreement/chainba"
-	"repro/internal/agreement/dagba"
 	"repro/internal/agreement/syncba"
 	"repro/internal/agreement/timestamp"
 	"repro/internal/appendmem"
@@ -402,19 +399,29 @@ func BenchmarkProtocolRunTimestamp(b *testing.B) {
 	}
 }
 
+// The chain and DAG protocol runs go through the production entry point:
+// a bound scenario with the template attack presets, one trial per seed.
+// The presets are pinned byte-identical to the hand-coded strategies the
+// earlier records ran, so the records stay comparable.
 func BenchmarkProtocolRunChain(b *testing.B) {
+	bound := scenario.MustBind(scenario.Spec{
+		Protocol: scenario.Chain, N: 10, T: 3, Lambda: 0.5, K: 21,
+		TieBreak: scenario.TieRandom, Attack: scenario.AttackTieBreak,
+	})
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agreement.MustRun(agreement.RandomizedConfig{
-			N: 10, T: 3, Lambda: 0.5, K: 21, Seed: uint64(i),
-		}, chainba.Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainTieBreaker{})
+		bound.Randomized(uint64(i))
 	}
 }
 
 func BenchmarkProtocolRunDag(b *testing.B) {
+	bound := scenario.MustBind(scenario.Spec{
+		Protocol: scenario.Dag, N: 10, T: 3, Lambda: 0.5, K: 21,
+		Pivot: scenario.PivotGhost, Attack: scenario.AttackPrivateChain,
+	})
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agreement.MustRun(agreement.RandomizedConfig{
-			N: 10, T: 3, Lambda: 0.5, K: 21, Seed: uint64(i),
-		}, dagba.Rule{Pivot: dagba.Ghost}, &adversary.DagChainExtender{Pivot: dagba.Ghost})
+		bound.Randomized(uint64(i))
 	}
 }
 

@@ -266,14 +266,29 @@ type HonestRule interface {
 	Decide(view appendmem.View, k int, rng *xrand.PCG) (int64, bool)
 }
 
+// PerTrialState is optionally implemented by HonestRules whose correct
+// nodes can share one substrate index per trial. When every correct node
+// reads the whole memory (mem.Read(), every timing model except topology
+// visibility), the views the nodes decide on form one monotone stream, so
+// a single index extended by all of them answers every node. RunRandomized
+// calls NewTrialRule once per such trial and splits the result per node
+// through PerNodeState; with topology visibility (per-node arrival
+// prefixes) it skips this step. The trial rule must implement
+// PerNodeState, and its node rules must decide and append exactly like
+// the original. When it implements WindowedRule, its floor bounds the
+// shared state and windowed retirement compacts that state once.
+type PerTrialState interface {
+	NewTrialRule() HonestRule
+}
+
 // PerNodeState is optionally implemented by HonestRules that keep per-node
-// incremental state — e.g. cached substrate indexes that extend with the
-// node's monotonically growing view instead of rebuilding per read.
-// RunRandomized calls NewNodeRule once per correct node and drives that
-// node exclusively through the returned instance; a rule without it is
-// shared, stateless, across all nodes. The returned rule must decide and
-// append exactly like the original: per-node state is a performance
-// vehicle, never a behavioural one.
+// incremental state: the memoized parents of the node's next append and
+// the indexes its own views need beside a trial-shared one (see
+// PerTrialState). RunRandomized calls NewNodeRule once per correct node
+// and drives that node exclusively through the returned instance; a rule
+// without it is shared, stateless, across all nodes. The returned rule
+// must decide and append exactly like the original: per-node state is a
+// performance vehicle, never a behavioural one.
 type PerNodeState interface {
 	NewNodeRule() HonestRule
 }
@@ -490,21 +505,31 @@ func RunRandomized(cfg RandomizedConfig, rule HonestRule, adv Adversary) (*Resul
 	}
 
 	// Per-node rule instances: a correct node's views grow monotonically
-	// over the run, so a rule with per-node state (cached substrate
-	// indexes) extends one index per node instead of rebuilding per step.
+	// over the run, so a rule with per-node state extends its indexes
+	// instead of rebuilding per step. When every node reads the whole
+	// memory, their views also form one stream, and a rule with per-trial
+	// state shares one index across all of them.
+	trialRule, shared := rule, false
+	if pt, ok := rule.(PerTrialState); ok && vis == nil {
+		trialRule, shared = pt.NewTrialRule(), true
+	}
 	nodeRules := runner.Resize(scratch.rules, cfg.N)
 	scratch.rules = nodeRules
 	for i := range nodeRules {
 		if !roster.IsByzantine(appendmem.NodeID(i)) {
-			nodeRules[i] = nodeRule(rule)
+			nodeRules[i] = nodeRule(trialRule)
 		}
 	}
 
 	// Windowed mode: every party that can still append must expose a
 	// reachability floor, or no retirement bound exists.
 	var winRules []WindowedRule
+	var winTrial WindowedRule
 	var winAdv WindowedAdversary
 	if cfg.Window > 0 {
+		if shared {
+			winTrial, _ = trialRule.(WindowedRule)
+		}
 		winRules = make([]WindowedRule, cfg.N)
 		for i, r := range nodeRules {
 			if r == nil {
@@ -546,42 +571,46 @@ func RunRandomized(cfg RandomizedConfig, rule HonestRule, adv Adversary) (*Resul
 	adv.Init(env)
 
 	// Windowed retirement: every Δ, take the minimum reachability floor
-	// over the parties that can still append (decided and dead nodes never
-	// append again), keep at least Window messages live, compact every
-	// index to the watermark and retire the memory below it. Consumes no
-	// randomness and registers no events unless Window > 0, so the default
-	// path is untouched.
+	// over the trial-shared state and the parties that can still append
+	// (decided and dead nodes never append again), keep at least Window
+	// messages live, compact every index to the watermark — the shared one
+	// once — and retire the memory below it. Consumes no randomness and
+	// registers no events unless Window > 0, so the default path is
+	// untouched.
 	if cfg.Window > 0 {
 		var retire func()
 		retire = func() {
 			if done {
 				return
 			}
-			w := mem.Len() - cfg.Window
-			for i := 0; i < cfg.N && w > mem.Watermark(); i++ {
-				id := appendmem.NodeID(i)
-				if winRules[i] == nil || !alive(id) || outcome.Decided[id] {
-					continue
+			if keep := mem.Len() - cfg.Window; keep > mem.Watermark() {
+				f := mem.Len()
+				if winTrial != nil {
+					f = min(f, winTrial.ViewFloor())
 				}
-				if f := winRules[i].ViewFloor(); f < w {
-					w = f
-				}
-			}
-			if winAdv != nil && w > mem.Watermark() {
-				if f := winAdv.ViewFloor(); f < w {
-					w = f
-				}
-			}
-			if w > mem.Watermark() {
-				for _, wr := range winRules {
-					if wr != nil {
-						wr.CompactTo(w)
+				for i, wr := range winRules {
+					id := appendmem.NodeID(i)
+					if wr != nil && alive(id) && !outcome.Decided[id] {
+						f = min(f, wr.ViewFloor())
 					}
 				}
 				if winAdv != nil {
-					winAdv.CompactTo(w)
+					f = min(f, winAdv.ViewFloor())
 				}
-				mem.Retire(w)
+				if w := min(keep, parentFloor(mem, f)); w > mem.Watermark() {
+					if winTrial != nil {
+						winTrial.CompactTo(w)
+					}
+					for _, wr := range winRules {
+						if wr != nil {
+							wr.CompactTo(w)
+						}
+					}
+					if winAdv != nil {
+						winAdv.CompactTo(w)
+					}
+					mem.Retire(w)
+				}
 			}
 			s.After(sim.Time(cfg.Delta), retire)
 		}

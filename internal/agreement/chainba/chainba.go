@@ -16,6 +16,8 @@
 package chainba
 
 import (
+	"math"
+
 	"repro/internal/agreement"
 	"repro/internal/appendmem"
 	"repro/internal/chain"
@@ -34,100 +36,158 @@ import (
 // structure.
 //
 // The zero value is stateless and rebuilds the chain index on every call.
-// The agreement harness instead drives each correct node through
-// NewNodeRule, whose per-node cached indexes extend with the node's
-// monotonically growing view (see chain.Cached); behaviour is identical
-// either way.
+// The agreement harness instead splits it once per trial (NewTrialRule:
+// one decision index shared by every correct node, since all of them read
+// the same memory) and then per node (NewNodeRule: the node's memoized
+// longest tips, plus its own index for views the shared one cannot
+// extend). Without the trial step each node's decision index is its own.
+// Behaviour is identical either way: the tie-breaker still draws from the
+// node's randomness at append time.
 type Rule struct {
 	TB      chain.TieBreaker
 	Confirm int
 
-	// Per-node incremental indexes, nil in the shared zero value. Appends
-	// and decisions hold separate handles because their view streams
-	// advance independently (an append may use a view older than the last
-	// decision's refresh, e.g. under -FreshHonestReads decisions).
-	app, dec *chain.Cached
+	// shared is the trial's decision index, set by NewTrialRule; st is one
+	// node's state, set by NewNodeRule. Both nil in the zero value.
+	shared *chain.Cached
+	st     *nodeState
 }
 
-// NewNodeRule implements agreement.PerNodeState: a copy of the rule with
-// fresh per-node index caches.
-func (r Rule) NewNodeRule() agreement.HonestRule {
-	r.app, r.dec = chain.NewCached(), chain.NewCached()
+// nodeState is one correct node's incremental state.
+type nodeState struct {
+	// dec is the decision index: the trial-shared one, or the node's own
+	// (private) when the harness skipped the trial step.
+	dec     *chain.Cached
+	private bool
+	// own indexes the views dec cannot extend (an asynchronous node's
+	// stale append view, a resumed run's first views); built on demand.
+	own *chain.Cached
+
+	// tips memoizes the longest tips of memoView, the view of the node's
+	// last Decide or Append: on the default path a node appends on the
+	// view it last decided on, so the append touches no index.
+	memoView appendmem.View
+	tips     []appendmem.MsgID
+	parent   [1]appendmem.MsgID
+}
+
+// NewTrialRule implements agreement.PerTrialState: a copy of the rule with
+// a fresh decision index for its node rules to share. Its own Append and
+// Decide stay stateless, like the zero value's.
+func (r Rule) NewTrialRule() agreement.HonestRule {
+	r.shared = chain.NewCached()
 	return r
 }
 
-// tree indexes view through c when the rule carries per-node caches, else
-// from scratch.
-func tree(c *chain.Cached, view appendmem.View) *chain.Tree {
-	if c != nil {
-		return c.At(view)
+// NewNodeRule implements agreement.PerNodeState: a copy of the rule with
+// fresh per-node state over the trial's shared decision index, or over a
+// private one when there is no trial rule.
+func (r Rule) NewNodeRule() agreement.HonestRule {
+	r.st = &nodeState{dec: r.shared}
+	if r.st.dec == nil {
+		r.st.dec, r.st.private = chain.NewCached(), true
 	}
-	return chain.Build(view)
+	return r
+}
+
+// node returns the rule's node state; the stateless rule gets a throwaway
+// one, whose indexes are built from scratch.
+func (r Rule) node() *nodeState {
+	if r.st != nil {
+		return r.st
+	}
+	return &nodeState{}
+}
+
+// tree indexes view through the decision index when view extends it, else
+// through the node's own.
+func (st *nodeState) tree(view appendmem.View) *chain.Tree {
+	if st.dec != nil && st.dec.Extends(view) {
+		return st.dec.At(view)
+	}
+	if st.own == nil {
+		st.own = chain.NewCached()
+	}
+	return st.own.At(view)
 }
 
 // Append extends the tie-broken longest chain of the node's view with the
 // node's input value. On an empty view the block attaches to the genesis.
 func (r Rule) Append(view appendmem.View, w *appendmem.Writer, input int64, rng *xrand.PCG) {
-	tip := appendmem.None
-	if tips := tree(r.app, view).LongestTips(); len(tips) > 0 {
-		tip = r.TB.Pick(tips, view, rng)
+	st := r.node()
+	if view != st.memoView {
+		st.memoView, st.tips = view, st.tips[:0]
+		if !view.Empty() {
+			st.tips = st.tree(view).AppendLongestTips(st.tips)
+		}
 	}
-	w.MustAppend(input, 0, []appendmem.MsgID{tip})
+	st.parent[0] = appendmem.None
+	if len(st.tips) > 0 {
+		st.parent[0] = r.TB.Pick(st.tips, view, rng)
+	}
+	w.MustAppend(input, 0, st.parent[:])
 }
 
 // Decide fires once the view contains a longest chain of length at least k
 // and returns the sign of the sum of that chain's first k values.
 func (r Rule) Decide(view appendmem.View, k int, rng *xrand.PCG) (int64, bool) {
-	t := tree(r.dec, view)
+	st := r.node()
+	t := st.tree(view)
+	st.memoView, st.tips = view, t.AppendLongestTips(st.tips[:0])
 	if t.Height() < k+r.Confirm {
 		return 0, false
 	}
-	tips := t.LongestTips()
-	tip := r.TB.Pick(tips, view, rng)
+	tip := r.TB.Pick(st.tips, view, rng)
 	return node.SumSign(t.PrefixValues(tip, k)), true
 }
 
-// ViewFloor implements agreement.WindowedRule: the smallest id this node's
-// future appends or index extensions can reach, over both cached indexes.
-// Zero for the stateless shared rule, which caches nothing.
+// ViewFloor implements agreement.WindowedRule. A node rule reports the
+// smallest id its memoized tips and its own indexes can reach; the trial
+// rule reports the shared index's floor. Zero for the stateless rule,
+// which rebuilds from the first message.
 func (r Rule) ViewFloor() int {
-	if r.app == nil || r.dec == nil {
-		return 0
+	switch {
+	case r.st != nil:
+		return r.st.floor()
+	case r.shared != nil:
+		return r.shared.Floor()
 	}
-	f := r.app.Floor()
-	if d := r.dec.Floor(); d < f {
-		f = d
+	return 0
+}
+
+// floor is ViewFloor of a node. A missing own index adds no bound: only
+// views older than the decision index need it, and windowed runs (the
+// default timing model) append and decide on the latest read only.
+func (st *nodeState) floor() int {
+	f := math.MaxInt
+	if len(st.tips) > 0 {
+		f = int(st.tips[0]) // arrival order: the smallest id
+	}
+	if st.own != nil {
+		f = min(f, st.own.Floor())
+	}
+	if st.private {
+		f = min(f, st.dec.Floor())
 	}
 	return f
 }
 
-// CompactTo implements agreement.WindowedRule by compacting both cached
-// indexes; the watermark achieved is the smaller of the two.
+// CompactTo implements agreement.WindowedRule by compacting the indexes
+// the rule owns (a node rule: its own and private ones; the trial rule:
+// the shared one); the watermark achieved is the smallest of theirs.
 func (r Rule) CompactTo(w int) int {
-	if r.app == nil || r.dec == nil {
-		return 0
+	switch {
+	case r.st != nil:
+		got := w
+		if r.st.own != nil {
+			got = min(got, r.st.own.CompactTo(w))
+		}
+		if r.st.private {
+			got = min(got, r.st.dec.CompactTo(w))
+		}
+		return got
+	case r.shared != nil:
+		return r.shared.CompactTo(w)
 	}
-	wa, wd := r.app.CompactTo(w), r.dec.CompactTo(w)
-	if wd < wa {
-		wa = wd
-	}
-	return wa
-}
-
-// AppendFloor implements agreement.AppendWindowed: the floor of the
-// append-side cache alone, for consumers (the fresh-reading adversary)
-// that never exercise the decision path.
-func (r Rule) AppendFloor() int {
-	if r.app == nil {
-		return 0
-	}
-	return r.app.Floor()
-}
-
-// CompactAppendTo implements agreement.AppendWindowed.
-func (r Rule) CompactAppendTo(w int) int {
-	if r.app == nil {
-		return 0
-	}
-	return r.app.CompactTo(w)
+	return 0
 }

@@ -14,6 +14,9 @@
 package dagba
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/agreement"
 	"repro/internal/appendmem"
 	"repro/internal/dag"
@@ -39,10 +42,15 @@ func (p PivotRule) String() string {
 
 // Pivot returns the pivot chain of d under rule p, oldest first.
 func (p PivotRule) Pivot(d *dag.Dag) []appendmem.MsgID {
+	return p.appendPivot(nil, d)
+}
+
+// appendPivot appends the pivot chain of d under rule p to dst.
+func (p PivotRule) appendPivot(dst []appendmem.MsgID, d *dag.Dag) []appendmem.MsgID {
 	if p == Ghost {
-		return d.GhostPivot()
+		return d.AppendGhostPivot(dst)
 	}
-	return d.LongestPivot()
+	return d.AppendLongestPivot(dst)
 }
 
 // Rule is the honest-node behaviour of Algorithm 6. It implements
@@ -54,118 +62,184 @@ func (p PivotRule) Pivot(d *dag.Dag) []appendmem.MsgID {
 // decision prefix (Lemma 5.5's attack) land beyond position k.
 //
 // The zero value is stateless and rebuilds the DAG index on every call.
-// The agreement harness instead drives each correct node through
-// NewNodeRule, whose per-node cached indexes extend with the node's
-// monotonically growing view (see dag.Cached); behaviour is identical
-// either way.
+// The agreement harness instead splits it once per trial (NewTrialRule:
+// one decision index shared by every correct node, since all of them read
+// the same memory) and then per node (NewNodeRule: the node's memoized
+// append parents, plus its own index for views the shared one cannot
+// extend). Without the trial step each node's decision index is its own.
+// Behaviour is identical either way.
 type Rule struct {
 	Pivot   PivotRule
 	Confirm int
 
-	// Per-node incremental indexes, nil in the shared zero value. Appends
-	// and decisions hold separate handles because their view streams
-	// advance independently.
-	app, dec *dag.Cached
+	// shared is the trial's decision index, set by NewTrialRule; st is one
+	// node's state, set by NewNodeRule. Both nil in the zero value.
+	shared *dag.Cached
+	st     *nodeState
 }
 
-// NewNodeRule implements agreement.PerNodeState: a copy of the rule with
-// fresh per-node index caches.
-func (r Rule) NewNodeRule() agreement.HonestRule {
-	r.app, r.dec = dag.NewCached(), dag.NewCached()
+// nodeState is one correct node's incremental state.
+type nodeState struct {
+	// dec is the decision index: the trial-shared one, or the node's own
+	// (private) when the harness skipped the trial step.
+	dec     *dag.Cached
+	private bool
+	// own indexes the views dec cannot extend (an asynchronous node's
+	// stale append view, a resumed run's first views); built on demand.
+	own *dag.Cached
+
+	// parents memoizes the append parents of memoView, the view of the
+	// node's last Decide or Append: on the default path a node appends on
+	// the view it last decided on, so the append touches no index.
+	memoView appendmem.View
+	parents  []appendmem.MsgID
+	pivot    []appendmem.MsgID
+	vals     []int64
+}
+
+// NewTrialRule implements agreement.PerTrialState: a copy of the rule with
+// a fresh decision index for its node rules to share. Its own Append and
+// Decide stay stateless, like the zero value's.
+func (r Rule) NewTrialRule() agreement.HonestRule {
+	r.shared = dag.NewCached()
 	return r
 }
 
-// index indexes view through c when the rule carries per-node caches, else
-// from scratch.
-func index(c *dag.Cached, view appendmem.View) *dag.Dag {
-	if c != nil {
-		return c.At(view)
+// NewNodeRule implements agreement.PerNodeState: a copy of the rule with
+// fresh per-node state over the trial's shared decision index, or over a
+// private one when there is no trial rule.
+func (r Rule) NewNodeRule() agreement.HonestRule {
+	r.st = &nodeState{dec: r.shared}
+	if r.st.dec == nil {
+		r.st.dec, r.st.private = dag.NewCached(), true
 	}
-	return dag.Build(view)
+	return r
+}
+
+// node returns the rule's node state; the stateless rule gets a throwaway
+// one, whose indexes are built from scratch.
+func (r Rule) node() *nodeState {
+	if r.st != nil {
+		return r.st
+	}
+	return &nodeState{}
+}
+
+// index indexes view through the decision index when view extends it,
+// else through the node's own.
+func (st *nodeState) index(view appendmem.View) *dag.Dag {
+	if st.dec != nil && st.dec.Extends(view) {
+		return st.dec.At(view)
+	}
+	if st.own == nil {
+		st.own = dag.NewCached()
+	}
+	return st.own.At(view)
+}
+
+// memoize records the append parents of view, given its index d and pivot:
+// every tip, the pivot tip (the selected parent) first.
+func (st *nodeState) memoize(view appendmem.View, d *dag.Dag, pivot []appendmem.MsgID) {
+	st.memoView = view
+	st.parents = d.AppendTips(st.parents[:0])
+	if len(st.parents) == 0 {
+		return
+	}
+	pt := pivot[len(pivot)-1]
+	i := slices.Index(st.parents, pt)
+	if i < 0 { // the pivot tip has a non-selected child: not a tip itself
+		i = len(st.parents)
+		st.parents = append(st.parents, pt)
+	}
+	copy(st.parents[1:i+1], st.parents[:i])
+	st.parents[0] = pt
 }
 
 // Append references all tips of the node's view, pivot tip first (the
 // selected parent), and carries the node's input value.
 func (r Rule) Append(view appendmem.View, w *appendmem.Writer, input int64, _ *xrand.PCG) {
-	d := index(r.app, view)
-	tips := d.Tips()
-	if len(tips) == 0 {
-		w.MustAppend(input, 0, nil)
-		return
-	}
-	pivot := r.Pivot.Pivot(d)
-	pivotTip := pivot[len(pivot)-1]
-	parents := make([]appendmem.MsgID, 0, len(tips))
-	parents = append(parents, pivotTip)
-	for _, tip := range tips {
-		if tip != pivotTip {
-			parents = append(parents, tip)
+	st := r.node()
+	if view != st.memoView {
+		if view.Empty() {
+			st.memoView, st.parents = view, st.parents[:0]
+		} else {
+			d := st.index(view)
+			st.pivot = r.Pivot.appendPivot(st.pivot[:0], d)
+			st.memoize(view, d, st.pivot)
 		}
 	}
-	w.MustAppend(input, 0, parents)
+	w.MustAppend(input, 0, st.parents)
 }
 
 // Decide fires once the pivot-chain ordering covers at least k values and
 // returns the sign of the sum of the first k ordered values.
 func (r Rule) Decide(view appendmem.View, k int, _ *xrand.PCG) (int64, bool) {
-	d := index(r.dec, view)
-	pivot := r.Pivot.Pivot(d)
-	vals := d.OrderedValues(pivot, k+r.Confirm)
-	if len(vals) < k+r.Confirm {
+	st := r.node()
+	d := st.index(view)
+	st.pivot = r.Pivot.appendPivot(st.pivot[:0], d)
+	st.memoize(view, d, st.pivot)
+	st.vals = d.AppendOrderedValues(st.vals[:0], st.pivot, k+r.Confirm)
+	if len(st.vals) < k+r.Confirm {
 		return 0, false
 	}
-	return node.SumSign(vals[:k]), true
+	return node.SumSign(st.vals[:k]), true
 }
 
 // Ordering exposes the full decision ordering for a view — used by
 // experiments to analyse the Byzantine composition of the first k values
 // (Lemma 5.5).
 func (r Rule) Ordering(view appendmem.View) []appendmem.MsgID {
-	d := index(r.dec, view)
+	d := r.node().index(view)
 	return d.Linearize(r.Pivot.Pivot(d))
 }
 
-// ViewFloor implements agreement.WindowedRule: the smallest id this node's
-// future appends or index extensions can reach, over both cached indexes.
-// Zero for the stateless shared rule, which caches nothing.
+// ViewFloor implements agreement.WindowedRule. A node rule reports the
+// smallest id its memoized parents and its own indexes can reach; the
+// trial rule reports the shared index's floor. Zero for the stateless
+// rule, which rebuilds from the first message.
 func (r Rule) ViewFloor() int {
-	if r.app == nil || r.dec == nil {
-		return 0
+	switch {
+	case r.st != nil:
+		return r.st.floor()
+	case r.shared != nil:
+		return r.shared.Floor()
 	}
-	f := r.app.Floor()
-	if d := r.dec.Floor(); d < f {
-		f = d
+	return 0
+}
+
+// floor is ViewFloor of a node. A missing own index adds no bound: only
+// views older than the decision index need it, and windowed runs (the
+// default timing model) append and decide on the latest read only.
+func (st *nodeState) floor() int {
+	f := math.MaxInt
+	for _, p := range st.parents {
+		f = min(f, int(p))
+	}
+	if st.own != nil {
+		f = min(f, st.own.Floor())
+	}
+	if st.private {
+		f = min(f, st.dec.Floor())
 	}
 	return f
 }
 
-// CompactTo implements agreement.WindowedRule by compacting both cached
-// indexes; the watermark achieved is the smaller of the two.
+// CompactTo implements agreement.WindowedRule by compacting the indexes
+// the rule owns (a node rule: its own and private ones; the trial rule:
+// the shared one); the watermark achieved is the smallest of theirs.
 func (r Rule) CompactTo(w int) int {
-	if r.app == nil || r.dec == nil {
-		return 0
+	switch {
+	case r.st != nil:
+		got := w
+		if r.st.own != nil {
+			got = min(got, r.st.own.CompactTo(w))
+		}
+		if r.st.private {
+			got = min(got, r.st.dec.CompactTo(w))
+		}
+		return got
+	case r.shared != nil:
+		return r.shared.CompactTo(w)
 	}
-	wa, wd := r.app.CompactTo(w), r.dec.CompactTo(w)
-	if wd < wa {
-		wa = wd
-	}
-	return wa
-}
-
-// AppendFloor implements agreement.AppendWindowed: the floor of the
-// append-side cache alone, for consumers (the fresh-reading adversary)
-// that never exercise the decision path.
-func (r Rule) AppendFloor() int {
-	if r.app == nil {
-		return 0
-	}
-	return r.app.Floor()
-}
-
-// CompactAppendTo implements agreement.AppendWindowed.
-func (r Rule) CompactAppendTo(w int) int {
-	if r.app == nil {
-		return 0
-	}
-	return r.app.CompactTo(w)
+	return 0
 }

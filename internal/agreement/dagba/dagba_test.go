@@ -239,3 +239,25 @@ func TestConfirmDepthDelaysDagDecision(t *testing.T) {
 		t.Fatalf("decide = (%d,%v); the -1 beyond position k must not count", v, ok)
 	}
 }
+
+// TestSharedDecideAllocFree: once a trial's shared index covers the view,
+// another node's Decide — index, pivot, bounded ordering and the memoized
+// parents of its next append — allocates nothing.
+func TestSharedDecideAllocFree(t *testing.T) {
+	m := appendmem.New(4)
+	trial := dagba.Rule{Pivot: dagba.Ghost}.NewTrialRule().(agreement.PerNodeState)
+	a, b := trial.NewNodeRule(), trial.NewNodeRule()
+	for i := 0; i < 120; i++ {
+		// Stale views by one append make forks the ordering must sort.
+		view := m.ViewAt(max(0, m.Len()-i%2))
+		a.Append(view, m.Writer(appendmem.NodeID(i%4)), +1, nil)
+	}
+	view := m.Read()
+	if _, ok := a.Decide(view, 41, nil); !ok {
+		t.Fatal("no decision over 120 appends")
+	}
+	b.Decide(view, 41, nil) // size b's buffers
+	if allocs := testing.AllocsPerRun(100, func() { b.Decide(view, 41, nil) }); allocs != 0 {
+		t.Fatalf("a decide on the shared index allocated %.1f times, want 0", allocs)
+	}
+}

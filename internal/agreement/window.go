@@ -13,16 +13,18 @@ import (
 	"repro/internal/xrand"
 )
 
-// WindowedRule is implemented by per-node rule instances that can bound
-// and retire their reachable prefix. ViewFloor returns the smallest id the
-// node's future appends or index extensions can touch (min of the cached
-// indexes' built sizes and tip floors — both monotone, so a floor once
-// reported stays safe). CompactTo retires index state below w, returning
-// the watermark achieved (indexes may decline conservatively).
+// WindowedRule is implemented by per-node rule instances (and trial rules,
+// see PerTrialState) that can bound and retire their reachable prefix.
+// ViewFloor returns the smallest id the holder's future appends can
+// reference and below which its indexes have ingested everything (min of
+// the cached indexes' built sizes and tip floors and of memoized append
+// parents); the harness adds the parents of the messages above it, see
+// parentFloor. CompactTo retires index state below w, returning the
+// watermark achieved (indexes may decline conservatively).
 //
-// The harness retires memory chunks only below the minimum floor over all
-// appending parties, so a rule that never implements this simply disables
-// windowed mode for its protocol.
+// The harness retires memory chunks only below the minimum floor over the
+// trial-shared state and all appending parties, so a rule that never
+// implements this simply disables windowed mode for its protocol.
 type WindowedRule interface {
 	ViewFloor() int
 	CompactTo(w int) int
@@ -34,16 +36,6 @@ type WindowedAdversary interface {
 	CompactTo(w int)
 }
 
-// AppendWindowed is optionally implemented by rules whose append path
-// bounds its reachable prefix independently of the decision path. A
-// fresh-reading adversary (ValueFlip) drives only Append, so its floor is
-// the append-side floor alone — the decision-side cache it never touches
-// would otherwise pin the combined ViewFloor at 0 and disable retirement.
-type AppendWindowed interface {
-	AppendFloor() int
-	CompactAppendTo(w int) int
-}
-
 // ViewFloor implements WindowedAdversary: a silent adversary never reads
 // or appends, so it bounds nothing.
 func (Silent) ViewFloor() int { return math.MaxInt }
@@ -52,11 +44,9 @@ func (Silent) ViewFloor() int { return math.MaxInt }
 func (Silent) CompactTo(int) {}
 
 // ViewFloor implements WindowedAdversary by delegating to the flip rule's
-// append-side cache: the adversary reads fresh and never decides.
+// per-node instance. The adversary reads fresh and never decides, so only
+// the indexes its appends touch hold a floor.
 func (a *ValueFlip) ViewFloor() int {
-	if aw, ok := a.rule.(AppendWindowed); ok {
-		return aw.AppendFloor()
-	}
 	if wr, ok := a.rule.(WindowedRule); ok {
 		return wr.ViewFloor()
 	}
@@ -65,13 +55,29 @@ func (a *ValueFlip) ViewFloor() int {
 
 // CompactTo implements WindowedAdversary.
 func (a *ValueFlip) CompactTo(w int) {
-	if aw, ok := a.rule.(AppendWindowed); ok {
-		aw.CompactAppendTo(w)
-		return
-	}
 	if wr, ok := a.rule.(WindowedRule); ok {
 		wr.CompactTo(w)
 	}
+}
+
+// parentFloor lowers f, the minimum floor over every index, to the
+// smallest parent referenced by the messages from f on. Each index has
+// ingested the messages below its floor, but the ones appended since it
+// last extended are still to be read, parents included — and the
+// appenders' own floors may have moved past those parents meanwhile.
+func parentFloor(mem *appendmem.Memory, f int) int {
+	if f < mem.Watermark() {
+		return f
+	}
+	w := f
+	for id := f; id < mem.Len(); id++ {
+		for _, p := range mem.Message(appendmem.MsgID(id)).Parents {
+			if p != appendmem.None && int(p) < w {
+				w = int(p)
+			}
+		}
+	}
+	return w
 }
 
 // windowChunk sizes the fixed slab chunks of a windowed memory: an eighth

@@ -86,13 +86,14 @@ func assertSameResult(t *testing.T, want, got *agreement.Result) {
 	}
 }
 
-// assertSameMemory compares the full message streams of two unbounded runs.
+// assertSameMemory compares the message streams of two runs, from the
+// first message both memories still hold (0 unless a window retired some).
 func assertSameMemory(t *testing.T, want, got *appendmem.Memory) {
 	t.Helper()
 	if want.Len() != got.Len() {
 		t.Fatalf("memory length: want %d, got %d", want.Len(), got.Len())
 	}
-	for id := 0; id < want.Len(); id++ {
+	for id := max(want.Watermark(), got.Watermark()); id < want.Len(); id++ {
 		a, b := want.Message(appendmem.MsgID(id)), got.Message(appendmem.MsgID(id))
 		if a.Author != b.Author || a.Seq != b.Seq || a.Value != b.Value || len(a.Parents) != len(b.Parents) {
 			t.Fatalf("message %d differs: %+v vs %+v", id, a, b)

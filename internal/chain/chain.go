@@ -26,8 +26,9 @@
 package chain
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/appendmem"
 	"repro/internal/xrand"
@@ -362,10 +363,16 @@ func (t *Tree) Children(id appendmem.MsgID) []appendmem.MsgID {
 // maximal depth — in arrival order. Empty when the view is empty. The set
 // is maintained incrementally, so the call costs O(tips).
 func (t *Tree) LongestTips() []appendmem.MsgID {
+	return t.AppendLongestTips(nil)
+}
+
+// AppendLongestTips appends the longest tips (see LongestTips) to dst and
+// returns the extended slice; it allocates nothing when dst has room.
+func (t *Tree) AppendLongestTips(dst []appendmem.MsgID) []appendmem.MsgID {
 	if t.height == 0 {
-		return nil
+		return dst
 	}
-	return append([]appendmem.MsgID(nil), t.levelTips...)
+	return append(dst, t.levelTips...)
 }
 
 // ChainTo returns the chain down to tip, inclusive, oldest first: from the
@@ -538,12 +545,11 @@ func (t *Tree) CommonPrefix(a, b appendmem.MsgID) []appendmem.MsgID {
 // SortByDepth orders ids by (depth, arrival) ascending; a deterministic
 // helper for rendering and tests.
 func (t *Tree) SortByDepth(ids []appendmem.MsgID) {
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := t.depthOf(ids[i]), t.depthOf(ids[j])
-		if di != dj {
-			return di < dj
+	slices.SortFunc(ids, func(a, b appendmem.MsgID) int {
+		if c := cmp.Compare(t.depthOf(a), t.depthOf(b)); c != 0 {
+			return c
 		}
-		return ids[i] < ids[j]
+		return cmp.Compare(a, b)
 	})
 }
 
@@ -575,6 +581,13 @@ func (c *Cached) At(view appendmem.View) *Tree {
 	}
 	c.t = Build(view)
 	return c.t
+}
+
+// Extends reports whether At(view) extends the held index instead of
+// rebuilding it: before the first At, or when the held index's view is a
+// prefix of view.
+func (c *Cached) Extends(view appendmem.View) bool {
+	return c.t == nil || c.t.view.SubsetOf(view)
 }
 
 // Floor returns the smallest id the handle may still touch on its next At

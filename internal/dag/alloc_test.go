@@ -41,3 +41,29 @@ func TestCachedExtendStepAllocBudget(t *testing.T) {
 		t.Fatalf("one cached extend step allocated %.1f times, budget %d", allocs, dagStepBudget)
 	}
 }
+
+// TestSteadyDecideAllocFree pins the decision read of an index that is
+// already extended to the view — what every correct node but the first
+// pays on a trial-shared index: At, the GHOST pivot, the bounded ordering
+// and the tips for the next append, all into reused buffers, allocate
+// nothing.
+func TestSteadyDecideAllocFree(t *testing.T) {
+	m := recentDagHistory(xrand.New(4, 4), 300)
+	c := NewCached()
+	view := m.Read()
+	var pivot, tips []appendmem.MsgID
+	var vals []int64
+	decide := func() {
+		d := c.At(view)
+		pivot = d.AppendGhostPivot(pivot[:0])
+		vals = d.AppendOrderedValues(vals[:0], pivot, 101)
+		tips = d.AppendTips(tips[:0])
+	}
+	decide() // extend the index, size the buffers
+	if len(vals) != 101 {
+		t.Fatalf("ordering covers %d values, want 101", len(vals))
+	}
+	if allocs := testing.AllocsPerRun(100, decide); allocs != 0 {
+		t.Fatalf("a steady-state decide allocated %.1f times, want 0", allocs)
+	}
+}

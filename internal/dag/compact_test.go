@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/appendmem"
@@ -229,5 +230,56 @@ func TestCompactDeclinesUnsafeWatermark(t *testing.T) {
 	d := Build(m.Read())
 	if w := d.Compact(8); w > int(root.ID)+1 {
 		t.Fatalf("Compact froze past a live fork: watermark %d", w)
+	}
+}
+
+// TestDifferentialPrefixLinearize: the prefix-bounded linearization behind
+// OrderedValues must equal the head of the full Linearize on every prefix
+// of randomized histories, for both pivot rules, on a plain index and on
+// one compacted as far as the reachability bound allows (whose frozen
+// prefix then supplies the leading values).
+func TestDifferentialPrefixLinearize(t *testing.T) {
+	histories := []func(*xrand.PCG, int) *appendmem.Memory{adversarialHistory, recentDagHistory}
+	frozen := 0
+	for _, history := range histories {
+		for seed := uint64(1); seed <= 8; seed++ {
+			m := history(xrand.New(seed, 17), 80)
+			safe := safeWatermarks(m)
+			pruned, full := Build(m.ViewAt(0)), Build(m.ViewAt(0))
+			for s := 1; s <= m.Len(); s++ {
+				view := m.ViewAt(s)
+				pruned.Extend(view)
+				full.Extend(view)
+				pruned.Compact(safe[s])
+				if len(pruned.frozenVals) > 0 {
+					frozen++
+				}
+				for _, d := range []*Dag{full, pruned} {
+					for _, pivot := range [][]appendmem.MsgID{d.GhostPivot(), d.LongestPivot()} {
+						order := d.Linearize(pivot)
+						for limit := 0; limit <= len(order)+1; limit++ {
+							if got, want := d.linearize(nil, pivot, limit), order[:min(limit, len(order))]; !equalIDs(got, want) {
+								t.Fatalf("seed %d prefix %d: linearize(limit %d) = %v, want %v", seed, s, limit, got, want)
+							}
+						}
+					}
+				}
+				for k := 0; k <= s+1; k++ {
+					want := full.OrderedValues(full.GhostPivot(), k)
+					got := pruned.AppendOrderedValues(nil, pruned.GhostPivot(), k)
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d prefix %d: ordered values(%d) = %v, want %v", seed, s, k, got, want)
+					}
+					want = full.OrderedValues(full.LongestPivot(), k)
+					got = pruned.AppendOrderedValues(nil, pruned.LongestPivot(), k)
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d prefix %d: longest ordered values(%d) = %v, want %v", seed, s, k, got, want)
+					}
+				}
+			}
+		}
+	}
+	if frozen == 0 {
+		t.Fatal("no index ever froze a prefix; the compacted half is vacuous")
 	}
 }

@@ -35,8 +35,10 @@
 package dag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/appendmem"
 )
@@ -105,6 +107,7 @@ type Dag struct {
 	orderedEpoch uint64
 	dfsStack     []appendmem.MsgID
 	epochBuf     []appendmem.MsgID
+	orderBuf     []appendmem.MsgID // AppendOrderedValues' linearization prefix
 }
 
 // SelectedParent returns the block's selected parent: Parents[0], or None
@@ -343,13 +346,11 @@ func (d *Dag) extend(size int) {
 	d.built = size
 }
 
-// dropTip removes p from the tip set; no-op when p is not a tip.
+// dropTip removes p from the tip set; no-op when p is not a tip. The set
+// is kept in ascending id order, so the search is binary.
 func (d *Dag) dropTip(p appendmem.MsgID) {
-	for i, t := range d.tips {
-		if t == p {
-			d.tips = append(d.tips[:i], d.tips[i+1:]...)
-			return
-		}
+	if i, ok := slices.BinarySearch(d.tips, p); ok {
+		d.tips = slices.Delete(d.tips, i, i+1)
 	}
 }
 
@@ -417,10 +418,13 @@ func (d *Dag) Weight(id appendmem.MsgID) int {
 // C of "last states which do not have child nodes" that Algorithm 6 Line 5
 // references — in arrival order.
 func (d *Dag) Tips() []appendmem.MsgID {
-	if len(d.tips) == 0 {
-		return nil
-	}
-	return append([]appendmem.MsgID(nil), d.tips...)
+	return d.AppendTips(nil)
+}
+
+// AppendTips appends the tips (see Tips) to dst and returns the extended
+// slice; it allocates nothing when dst has room.
+func (d *Dag) AppendTips(dst []appendmem.MsgID) []appendmem.MsgID {
+	return append(dst, d.tips...)
 }
 
 // kids returns the child list slot for id (None — or the compaction
@@ -448,14 +452,19 @@ func (d *Dag) Children(id appendmem.MsgID) []appendmem.MsgID {
 // chain is the live pivot segment; the frozen prefix is fixed and already
 // folded into OrderedValues.
 func (d *Dag) GhostPivot() []appendmem.MsgID {
-	var pivot []appendmem.MsgID
+	return d.AppendGhostPivot(nil)
+}
+
+// AppendGhostPivot appends the GHOST pivot chain to dst and returns the
+// extended slice; it allocates nothing when dst has room.
+func (d *Dag) AppendGhostPivot(dst []appendmem.MsgID) []appendmem.MsgID {
 	slot := 0
 	for {
 		best := d.ghostBest[slot]
 		if best == appendmem.None {
-			return pivot
+			return dst
 		}
-		pivot = append(pivot, best)
+		dst = append(dst, best)
 		slot = int(best) + 1 - d.off
 	}
 }
@@ -465,17 +474,24 @@ func (d *Dag) GhostPivot() []appendmem.MsgID {
 // deepest tree tip is maintained on Extend, so retrieval is O(pivot
 // length).
 func (d *Dag) LongestPivot() []appendmem.MsgID {
+	return d.AppendLongestPivot(nil)
+}
+
+// AppendLongestPivot appends the longest-rule pivot chain to dst and
+// returns the extended slice; it allocates nothing when dst has room.
+func (d *Dag) AppendLongestPivot(dst []appendmem.MsgID) []appendmem.MsgID {
 	if d.bestTreeTip == appendmem.None {
-		return nil
+		return dst
 	}
+	start := len(dst)
 	n := int(d.bestTreeDepth - d.anchorTreeDepth)
-	pivot := make([]appendmem.MsgID, n)
+	dst = slices.Grow(dst, n)[:start+n]
 	cur := d.bestTreeTip
-	for i := n - 1; i >= 0; i-- {
-		pivot[i] = cur
+	for i := start + n - 1; i >= start; i-- {
+		dst[i] = cur
 		cur = d.parent[int(cur)-d.off]
 	}
-	return pivot
+	return dst
 }
 
 // PastCone returns all ancestors of id over all parent edges, including id
@@ -508,7 +524,7 @@ func (d *Dag) PastCone(id appendmem.MsgID) []appendmem.MsgID {
 		}
 	}
 	d.dfsStack = stack
-	sort.Slice(cone, func(i, j int) bool { return cone[i] < cone[j] })
+	slices.Sort(cone)
 	return cone
 }
 
@@ -559,10 +575,21 @@ func (d *Dag) IsAncestor(a, b appendmem.MsgID) bool {
 // order. Blocks outside the pivot tip's past cone are not ordered (they
 // will be, once a later pivot block references them).
 func (d *Dag) Linearize(pivot []appendmem.MsgID) []appendmem.MsgID {
-	var order []appendmem.MsgID
+	return d.linearize(nil, pivot, math.MaxInt)
+}
+
+// linearize appends the first limit blocks of Linearize(pivot) to dst. It
+// stops after the first epoch that reaches the limit: an epoch is sorted
+// as a whole, so the order up to its end is final whatever later pivot
+// blocks add.
+func (d *Dag) linearize(dst, pivot []appendmem.MsgID, limit int) []appendmem.MsgID {
+	start := len(dst)
 	d.orderedEpoch++
 	oe := d.orderedEpoch
 	for _, pb := range pivot {
+		if len(dst)-start >= limit {
+			break
+		}
 		// Epoch members: ancestors of pb not ordered by earlier pivot
 		// blocks. The DFS stops at already-ordered blocks, so each block
 		// is visited once across the whole linearization (amortized
@@ -593,24 +620,28 @@ func (d *Dag) Linearize(pivot []appendmem.MsgID) []appendmem.MsgID {
 			}
 		}
 		d.dfsStack = stack
-		sort.Slice(epoch, func(i, j int) bool {
-			ii, jj := int(epoch[i])-d.off, int(epoch[j])-d.off
-			if d.depth[ii] != d.depth[jj] {
-				return d.depth[ii] < d.depth[jj]
+		// (depth, author, seq) is unique per block, so any sort yields the
+		// same order.
+		slices.SortFunc(epoch, func(a, b appendmem.MsgID) int {
+			if c := cmp.Compare(d.depth[int(a)-d.off], d.depth[int(b)-d.off]); c != 0 {
+				return c
 			}
 			// authorSeq packs (author, seq) so one compare is the
 			// lexicographic tie-break.
-			return d.authorSeqOf(epoch[i]) < d.authorSeqOf(epoch[j])
+			return cmp.Compare(d.authorSeqOf(a), d.authorSeqOf(b))
 		})
 		for _, id := range epoch {
 			d.ordered[int(id)-d.off] = oe
-			order = append(order, id)
+			dst = append(dst, id)
 		}
 		d.epochBuf = epoch[:0]
 		d.ordered[int(pb)-d.off] = oe
-		order = append(order, pb)
+		dst = append(dst, pb)
 	}
-	return order
+	if len(dst)-start > limit {
+		dst = dst[:start+limit]
+	}
+	return dst
 }
 
 // OrderedValues returns the values of the first k blocks in the
@@ -620,19 +651,23 @@ func (d *Dag) Linearize(pivot []appendmem.MsgID) []appendmem.MsgID {
 // (what GhostPivot/LongestPivot return), so decisions are unchanged by
 // retirement.
 func (d *Dag) OrderedValues(pivot []appendmem.MsgID, k int) []int64 {
+	return d.AppendOrderedValues(nil, pivot, k)
+}
+
+// AppendOrderedValues appends OrderedValues(pivot, k) to dst and returns
+// the extended slice. The linearization stops once k values are covered
+// and reuses a buffer owned by the Dag, so the call allocates nothing
+// when dst has room.
+func (d *Dag) AppendOrderedValues(dst []int64, pivot []appendmem.MsgID, k int) []int64 {
 	if k <= len(d.frozenVals) {
-		return append([]int64(nil), d.frozenVals[:k]...)
+		return append(dst, d.frozenVals[:k]...)
 	}
-	order := d.Linearize(pivot)
-	if rest := k - len(d.frozenVals); len(order) > rest {
-		order = order[:rest]
+	d.orderBuf = d.linearize(d.orderBuf[:0], pivot, k-len(d.frozenVals))
+	dst = append(dst, d.frozenVals...)
+	for _, id := range d.orderBuf {
+		dst = append(dst, d.valueOf(id))
 	}
-	vals := make([]int64, 0, len(d.frozenVals)+len(order))
-	vals = append(vals, d.frozenVals...)
-	for _, id := range order {
-		vals = append(vals, d.valueOf(id))
-	}
-	return vals
+	return dst
 }
 
 // Watermark returns the compaction watermark: the first id still held
@@ -813,6 +848,13 @@ func (c *Cached) At(view appendmem.View) *Dag {
 	}
 	c.d = Build(view)
 	return c.d
+}
+
+// Extends reports whether At(view) extends the held index instead of
+// rebuilding it: before the first At, or when the held index's view is a
+// prefix of view.
+func (c *Cached) Extends(view appendmem.View) bool {
+	return c.d == nil || c.d.view.SubsetOf(view)
 }
 
 // Floor returns the smallest id the handle's future extensions or appends

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -33,6 +34,21 @@ func TestProcessWorkersMatchLocal(t *testing.T) {
 	}
 }
 
+// killOnLease kills its worker process right after sending it the first
+// lease, so the worker dies with work in flight however fast trials run.
+type killOnLease struct {
+	*Proc
+	once sync.Once
+}
+
+func (k *killOnLease) Send(m *Msg) error {
+	err := k.Proc.Send(m)
+	if m.Type == msgLease {
+		k.once.Do(func() { k.Proc.Kill() })
+	}
+	return err
+}
+
 // Kill one worker mid-sweep: the run must finish with byte-identical
 // output — a lost worker changes wall clock, never results.
 func TestKilledWorkerDoesNotChangeOutput(t *testing.T) {
@@ -46,20 +62,14 @@ func TestKilledWorkerDoesNotChangeOutput(t *testing.T) {
 	local := mustRunLocal(t, spec)
 
 	procs := spawnProcWorkers(t, 3)
-	victim := procs[0]
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		time.Sleep(30 * time.Millisecond)
-		victim.Kill()
-	}()
+	workers := transports(procs)
+	workers[0] = &killOnLease{Proc: procs[0]}
 
 	dist, stats, err := Run(spec, Config{
-		Workers:      transports(procs),
+		Workers:      workers,
 		ChunkSize:    4,
 		LeaseTimeout: 5 * time.Second,
 	})
-	<-done
 	if err != nil {
 		t.Fatal(err)
 	}
