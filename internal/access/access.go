@@ -106,6 +106,18 @@ type Grant struct {
 	Seq  int // position in the authority's total arrival order
 }
 
+// Authority is a token authority of the randomized access model: once
+// started (fresh with Start, or mid-stream from a checkpoint with
+// ResumeAt) it hands out grants until Stop. Issued and NextAt expose the
+// state a checkpoint must capture.
+type Authority interface {
+	Start()
+	Stop()
+	Issued() int
+	NextAt() sim.Time
+	ResumeAt(seq int, at sim.Time)
+}
+
 // PoissonAuthority hands out append tokens at Poisson-process instants.
 type PoissonAuthority struct {
 	s       *sim.Sim
