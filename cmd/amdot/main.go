@@ -22,7 +22,6 @@ import (
 	"math/bits"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/dotviz"
 	"repro/internal/scenario"
 	"repro/internal/topology"
@@ -81,11 +80,15 @@ func main() {
 		fatal(fmt.Errorf("-protocol must be chain or dag"))
 	}
 
-	r, err := core.Run(core.Config{
-		Protocol: core.Protocol(*protocol),
+	b, err := scenario.Bind(scenario.Spec{
+		Protocol: scenario.Protocol(*protocol),
 		N:        *n, T: *t, Lambda: *lambda, K: *k,
-		Attack: core.Attack(*attack), Seed: *seed,
+		Attack: scenario.Attack(*attack), Seed: *seed,
 	})
+	if err != nil {
+		fatal(err)
+	}
+	r, err := b.Run(*seed)
 	if err != nil {
 		fatal(err)
 	}

@@ -110,7 +110,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ws, cleanup, err := connectWorkers(*distribute, *workersAdr)
+	ws, cleanup, err := distrib.Connect(*distribute, *workersAdr)
 	if err != nil {
 		fatal(err)
 	}
@@ -243,37 +243,6 @@ func parseRungs(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// connectWorkers assembles the evaluation fleet: dialed remote workers
-// plus re-exec'd local ones, exactly like amrun -distribute.
-func connectWorkers(spawn int, addrs string) ([]distrib.Transport, func(), error) {
-	var ws []distrib.Transport
-	if addrs != "" {
-		remote, err := distrib.DialWorkers(addrs)
-		if err != nil {
-			return nil, nil, err
-		}
-		ws = append(ws, remote...)
-	}
-	if spawn > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, nil, fmt.Errorf("cannot locate own binary to spawn workers: %w", err)
-		}
-		procs, err := distrib.SpawnN(spawn, []string{exe, "-amworker"}, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, p := range procs {
-			ws = append(ws, p)
-		}
-	}
-	return ws, func() {
-		for _, w := range ws {
-			w.Close()
-		}
-	}, nil
 }
 
 func attackName(s scenario.Spec) string {

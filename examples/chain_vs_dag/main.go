@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -21,26 +21,30 @@ func main() {
 		k      = 41
 		trials = 40
 	)
+	// validity counts the valid runs among trials seeds from 1.
+	validity := func(spec scenario.Spec) int {
+		spec.N, spec.T, spec.K, spec.Seed, spec.Trials = n, t, k, 1, trials
+		spec.Metrics = []string{"validity"}
+		res, err := scenario.RunSpec(spec, scenario.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res.Points[0].Metrics[0].Count
+	}
 	fmt.Printf("Chain vs DAG at t/n = %.1f (n=%d, k=%d, %d trials per point)\n\n", float64(t)/n, n, k, trials)
 	fmt.Printf("%-6s %-8s %-22s %-16s %-16s\n", "λ", "λ(n-t)", "chain bound 1/(1+λ(n-t))", "chain validity", "dag validity")
 	for _, lambda := range []float64{0.05, 0.1, 0.25, 0.5, 1.0} {
-		chainSum, err := core.RunTrials(core.Config{
-			Protocol: core.Chain, N: n, T: t, Lambda: lambda, K: k,
-			TieBreak: core.TieRandom, Attack: core.AttackTieBreak, Seed: 1,
-		}, trials)
-		if err != nil {
-			log.Fatal(err)
-		}
-		dagSum, err := core.RunTrials(core.Config{
-			Protocol: core.Dag, N: n, T: t, Lambda: lambda, K: k,
-			Pivot: core.PivotGhost, Attack: core.AttackPrivateChain, Seed: 1,
-		}, trials)
-		if err != nil {
-			log.Fatal(err)
-		}
+		chainOK := validity(scenario.Spec{
+			Protocol: scenario.Chain, Lambda: lambda,
+			TieBreak: scenario.TieRandom, Attack: scenario.AttackTieBreak,
+		})
+		dagOK := validity(scenario.Spec{
+			Protocol: scenario.Dag, Lambda: lambda,
+			Pivot: scenario.PivotGhost, Attack: scenario.AttackPrivateChain,
+		})
 		bound := 1 / (1 + lambda*float64(n-t))
 		fmt.Printf("%-6g %-8.2g %-22.3f %3d/%-12d %3d/%-12d\n",
-			lambda, lambda*float64(n-t), bound, chainSum.Validity, trials, dagSum.Validity, trials)
+			lambda, lambda*float64(n-t), bound, chainOK, trials, dagOK, trials)
 	}
 	fmt.Println("\nThe chain column collapses once the bound drops below t/n = 0.4;")
 	fmt.Println("the DAG column stays flat — why BlockDAGs excel blockchains.")

@@ -10,19 +10,23 @@ import (
 	"log"
 
 	"repro/internal/appendmem"
-	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
 func main() {
-	cfg := core.Config{
-		Protocol: core.Dag, // Algorithm 6: BA on the BlockDAG
-		N:        7, T: 2,  // 7 nodes, last 2 Byzantine
+	cfg := scenario.Spec{
+		Protocol: scenario.Dag, // Algorithm 6: BA on the BlockDAG
+		N:        7, T: 2,      // 7 nodes, last 2 Byzantine
 		Lambda: 0.5, // each node gets a memory-access token every 2Δ on average
 		K:      21,  // decide on the sign of the first 21 ordered values
-		Attack: core.AttackPrivateChain,
+		Attack: scenario.AttackPrivateChain,
 		Seed:   42,
 	}
-	r, err := core.Run(cfg)
+	b, err := scenario.Bind(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := b.Run(cfg.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -174,6 +174,43 @@ func SpawnN(n int, argv []string, env []string) ([]*Proc, error) {
 	return procs, nil
 }
 
+// Connect assembles a worker fleet: the remote workers at addrs (a
+// comma-separated list, possibly empty) followed by spawn local workers,
+// each a re-execution of the running binary with its -amworker flag. The
+// returned func closes every worker. On error, workers already connected
+// are closed.
+func Connect(spawn int, addrs string) ([]Transport, func(), error) {
+	var ws []Transport
+	closeAll := func() {
+		for _, w := range ws {
+			w.Close()
+		}
+	}
+	if addrs != "" {
+		remote, err := DialWorkers(addrs)
+		if err != nil {
+			return nil, nil, err
+		}
+		ws = append(ws, remote...)
+	}
+	if spawn > 0 {
+		exe, err := os.Executable()
+		if err != nil {
+			closeAll()
+			return nil, nil, fmt.Errorf("distrib: cannot locate own binary to spawn workers: %w", err)
+		}
+		procs, err := SpawnN(spawn, []string{exe, "-amworker"}, nil)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		for _, p := range procs {
+			ws = append(ws, p)
+		}
+	}
+	return ws, closeAll, nil
+}
+
 // Loopback starts an in-process worker goroutine running Serve and
 // returns the coordinator-side transport — the zero-overhead harness for
 // tests and benchmarks of the dispatch/merge machinery.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/agreement/syncba"
 	"repro/internal/chain"
 	"repro/internal/node"
+	"repro/internal/trace"
 )
 
 func TestBindErrors(t *testing.T) {
@@ -28,6 +30,8 @@ func TestBindErrors(t *testing.T) {
 		{"split out of range", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, Inputs: "split:9"}, "input spec"},
 		{"unknown attack", Spec{Protocol: Chain, N: 4, Lambda: 1, K: 5, Attack: "ddos"}, "unknown attack"},
 		{"randomized attack on sync", Spec{Protocol: Sync, N: 4, T: 1, Attack: AttackFlip}, "not valid for protocol sync"},
+		{"chain attack on timestamp", Spec{Protocol: Timestamp, N: 4, T: 1, Lambda: 1, K: 3, Attack: AttackFork}, "not valid for protocol"},
+		{"dag attack on chain", Spec{Protocol: Chain, N: 4, T: 1, Lambda: 1, K: 3, Attack: AttackPrivateChain}, "not valid for protocol"},
 		{"sync attack on chain", Spec{Protocol: Chain, N: 4, T: 1, Lambda: 1, K: 5, Attack: AttackDelayedChain}, "not valid for protocol"},
 		{"chain attack on dag", Spec{Protocol: Dag, N: 4, T: 1, Lambda: 1, K: 5, Attack: AttackTieBreak}, "not valid for protocol"},
 		{"lambda missing", Spec{Protocol: Chain, N: 4, K: 5}, "lambda"},
@@ -183,25 +187,112 @@ func TestUnifiedRun(t *testing.T) {
 }
 
 func TestRunTrials(t *testing.T) {
-	sum, err := RunTrials(Spec{Protocol: Chain, N: 5, T: 1, Lambda: 1, K: 7, Seed: 1}, 4)
+	res, err := RunSpec(Spec{Protocol: Chain, N: 5, T: 1, Lambda: 1, K: 7, Seed: 1, Trials: 4}, Options{})
 	if err != nil {
-		t.Fatalf("RunTrials: %v", err)
+		t.Fatalf("RunSpec: %v", err)
 	}
-	if sum.Trials != 4 {
-		t.Fatalf("trials = %d", sum.Trials)
+	pt := res.Points[0]
+	if pt.Trials != 4 {
+		t.Fatalf("trials = %d", pt.Trials)
 	}
-	if sum.OK > sum.Trials || sum.OK > sum.Agreement || sum.OK > sum.Validity || sum.OK > sum.Termination {
-		t.Fatalf("inconsistent summary %+v", sum)
+	count := map[string]int{}
+	for _, m := range pt.Metrics {
+		count[m.Name] = m.Count
+		if m.Value != float64(m.Count)/4 {
+			t.Errorf("%s: rate %v != %d/4", m.Name, m.Value, m.Count)
+		}
 	}
-	if !strings.Contains(sum.String(), "ok ") {
-		t.Fatalf("String() = %q", sum.String())
-	}
-	if sum.Rate() < 0 || sum.Rate() > 1 {
-		t.Fatalf("Rate() = %v", sum.Rate())
+	ok := count["ok"]
+	if ok > count["agreement"] || ok > count["validity"] || ok > count["termination"] {
+		t.Fatalf("inconsistent counts %v", count)
 	}
 
-	if _, err := RunTrials(Spec{Protocol: "nope", N: 1}, 1); err == nil {
-		t.Fatal("RunTrials accepted a bad spec")
+	if _, err := RunSpec(Spec{Protocol: "nope", N: 1}, Options{}); err == nil {
+		t.Fatal("RunSpec accepted a bad spec")
+	}
+}
+
+func TestInputSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want func(in node.Inputs) bool
+	}{
+		{"", func(in node.Inputs) bool { return in[0] == 1 && in[5] == 1 }},
+		{"same", func(in node.Inputs) bool { return in[0] == 1 }},
+		{"same:-1", func(in node.Inputs) bool { return in[0] == -1 }},
+		{"split:2", func(in node.Inputs) bool { return in[0] == 1 && in[1] == 1 && in[2] == -1 }},
+		{"random", func(in node.Inputs) bool { return in[0] == 1 || in[0] == -1 }},
+	} {
+		b, err := Bind(Spec{Protocol: Timestamp, N: 6, Lambda: 1, K: 5, Inputs: tc.spec})
+		if err != nil {
+			t.Fatalf("%q: %v", tc.spec, err)
+		}
+		if in := b.inputs(2); !tc.want(in) {
+			t.Errorf("%q: inputs %v", tc.spec, in)
+		}
+	}
+}
+
+// validRuns counts the seeds in [0, trials) whose run kept validity.
+func validRuns(t *testing.T, spec Spec, trials int) int {
+	t.Helper()
+	b := MustBind(spec)
+	valid := 0
+	for seed := uint64(0); seed < uint64(trials); seed++ {
+		r, err := b.Run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Verdict.Validity {
+			valid++
+		}
+	}
+	return valid
+}
+
+// TestAblationKnobs: fresh honest reads restore chain validity under the
+// tie-break attack at a rate where stale views collapse (E12).
+func TestAblationKnobs(t *testing.T) {
+	spec := Spec{Protocol: Chain, N: 10, T: 4, Lambda: 1, K: 21, Attack: AttackTieBreak}
+	stale := validRuns(t, spec, 15)
+	spec.FreshReads = true
+	if fresh := validRuns(t, spec, 15); fresh <= stale {
+		t.Fatalf("fresh reads did not help: stale %d vs fresh %d", stale, fresh)
+	}
+}
+
+// TestStallKnob: a blackout of honest views lets the private-chain attack
+// stuff the DAG's decision prefix (E11).
+func TestStallKnob(t *testing.T) {
+	spec := Spec{Protocol: Dag, N: 10, T: 4, Lambda: 1, K: 41,
+		Attack: AttackPrivateChain, StallAtSize: 30, StallFor: 6}
+	if fails := 15 - validRuns(t, spec, 15); fails < 8 {
+		t.Fatalf("blackout barely hurt DAG validity: %d/15 failures", fails)
+	}
+}
+
+// TestRoundRobinKnob: the burst-free authority still completes runs, and
+// its grant pattern is perfectly even — per-node grant counts differ by
+// at most one (appends can differ more: nodes stop appending once
+// decided).
+func TestRoundRobinKnob(t *testing.T) {
+	rec := trace.New()
+	b := MustBind(Spec{Protocol: Timestamp, N: 6, Lambda: 1, K: 24, Access: AccessRoundRobin})
+	r, err := b.RunTraced(2, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Verdict.OK() {
+		t.Fatalf("%+v", r.Verdict)
+	}
+	counts := make([]int, 6)
+	for _, e := range rec.Events() {
+		if e.Kind == trace.Grant {
+			counts[e.Node]++
+		}
+	}
+	if slices.Max(counts)-slices.Min(counts) > 1 {
+		t.Fatalf("round-robin grants uneven: %v", counts)
 	}
 }
 

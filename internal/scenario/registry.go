@@ -163,14 +163,10 @@ type AttackDef struct {
 }
 
 // ResolveParams resolves the attack's parameter assignment for one spec:
-// the preset, adjusted by spec-level sugar (margin overrides a preset's
-// StartWithin), then the spec's attack_params overrides, each validated
+// the preset, then the spec's attack_params overrides, each validated
 // against the schema. Attacks without a schema accept no overrides.
 func (d AttackDef) ResolveParams(s *Spec) (adversary.Params, error) {
 	p := d.Preset
-	if s.Margin > 0 && p.StartWithin > 0 {
-		p.StartWithin = s.Margin
-	}
 	if len(s.AttackParams) == 0 {
 		return p, nil
 	}
@@ -207,7 +203,7 @@ func AttackParamLines(name string) []string {
 }
 
 // ExplicitAttackParams resolves the spec's attack parameters (preset,
-// margin sugar, attack_params overrides) and renders the full assignment
+// attack_params overrides) and renders the full assignment
 // — every schema parameter, not just the overridden ones — as a spec
 // attack_params map. A counterexample spec written with the explicit
 // assignment stays a faithful regression even if a preset's defaults

@@ -34,7 +34,6 @@ type Spec struct {
 	Confirm  int      `json:"confirm,omitempty"`  // chain/dag confirmation depth
 
 	Attack Attack `json:"attack,omitempty"` // "" means silent
-	Margin int    `json:"margin,omitempty"` // last-minute attack: burst margin; 0 means 6
 	// AttackParams overrides individual template parameters of a
 	// parameterized attack (see the attack's Schema, printed by amrun
 	// -list). Unknown names and out-of-range values are rejected at Bind.
@@ -191,7 +190,7 @@ func ParseAxis(s string) (Axis, error) {
 func SweepAxes() []string {
 	return []string{
 		"n", "t", "crashes", "lambda", "delta", "k", "rounds", "confirm",
-		"margin", "stall_at", "stall_for", "async_delay_max", "window", "seed",
+		"stall_at", "stall_for", "async_delay_max", "window", "seed",
 		"protocol", "tiebreak", "pivot", "attack", "inputs", "access",
 		"fresh_reads", "topology", "link_delay", "link_jitter", "delay_dist",
 		"topo:<param>", "attack:<param>",
@@ -283,8 +282,6 @@ func (s Spec) with(axis string, v Value) (Spec, error) {
 		err = setInt(&s.Rounds)
 	case "confirm":
 		err = setInt(&s.Confirm)
-	case "margin":
-		err = setInt(&s.Margin)
 	case "stall_at":
 		err = setInt(&s.StallAtSize)
 	case "window":
