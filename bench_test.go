@@ -16,9 +16,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/agreement"
-	"repro/internal/agreement/syncba"
-	"repro/internal/agreement/timestamp"
 	"repro/internal/appendmem"
 	"repro/internal/chain"
 	"repro/internal/dag"
@@ -391,18 +388,23 @@ func BenchmarkDistributedDispatch(b *testing.B) {
 	}
 }
 
+// The protocol runs go through the production entry point: a bound
+// scenario, one trial per seed. The chain and DAG presets are pinned
+// byte-identical to the hand-coded strategies the earlier records ran,
+// and the flip and loud-flip attacks bind to the adversaries the
+// timestamp and sync records ran directly, so the records stay
+// comparable.
 func BenchmarkProtocolRunTimestamp(b *testing.B) {
+	bound := scenario.MustBind(scenario.Spec{
+		Protocol: scenario.Timestamp, N: 10, T: 3, Lambda: 0.5, K: 21,
+		Attack: scenario.AttackFlip,
+	})
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agreement.MustRun(agreement.RandomizedConfig{
-			N: 10, T: 3, Lambda: 0.5, K: 21, Seed: uint64(i),
-		}, timestamp.Rule{}, &agreement.ValueFlip{Rule: timestamp.Rule{}})
+		bound.Randomized(uint64(i))
 	}
 }
 
-// The chain and DAG protocol runs go through the production entry point:
-// a bound scenario with the template attack presets, one trial per seed.
-// The presets are pinned byte-identical to the hand-coded strategies the
-// earlier records ran, so the records stay comparable.
 func BenchmarkProtocolRunChain(b *testing.B) {
 	bound := scenario.MustBind(scenario.Spec{
 		Protocol: scenario.Chain, N: 10, T: 3, Lambda: 0.5, K: 21,
@@ -426,8 +428,12 @@ func BenchmarkProtocolRunDag(b *testing.B) {
 }
 
 func BenchmarkProtocolRunSync(b *testing.B) {
+	bound := scenario.MustBind(scenario.Spec{
+		Protocol: scenario.Sync, N: 9, T: 4, Attack: scenario.AttackLoudFlip,
+	})
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		syncba.MustRun(syncba.Config{N: 9, T: 4, Seed: uint64(i)}, &syncba.LoudFlip{})
+		bound.Sync(uint64(i))
 	}
 }
 
