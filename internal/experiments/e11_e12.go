@@ -31,10 +31,7 @@ func RunE11(o Options) []*Table {
 			spec.StallAtSize = 30
 			spec.StallFor = w
 		}
-		b := scenario.MustBind(spec)
-		oks := runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-			return b.Randomized(seed).Verdict.Validity
-		})
+		oks := o.rate(trials, spec, "validity")
 		regime := "synchronous"
 		if w > 0 {
 			regime = "temporarily asynchronous"
@@ -68,13 +65,10 @@ func RunE12(o Options) []*Table {
 		"λ", "λ(n-t)", "validity (stale views, Δ)", "validity (fresh views)")
 	for _, lambda := range lambdas {
 		run := func(fresh bool) runner.Ratio {
-			b := scenario.MustBind(scenario.Spec{
+			return o.rate(trials, scenario.Spec{
 				Protocol: scenario.Chain, N: n, T: t, Lambda: lambda, K: k,
 				Attack: scenario.AttackTieBreak, FreshReads: fresh,
-			})
-			return runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-				return b.Randomized(seed).Verdict.Validity
-			})
+			}, "validity")
 		}
 		stale := run(false)
 		fresh := run(true)

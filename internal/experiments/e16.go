@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/runner"
 	"repro/internal/scenario"
 )
 
@@ -33,30 +32,17 @@ func RunE16(o Options) []*Table {
 	n, t, k := 10, 4, 21
 	const lambda = 0.05 // λ(n−t) = 0.3: the synchronous chain is safe here
 
-	validity := func(spec scenario.Spec) runner.Ratio {
-		b := scenario.MustBind(spec)
-		return runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-			return b.Randomized(seed).Verdict.Validity
-		})
-	}
-	agreement := func(spec scenario.Spec) runner.Ratio {
-		b := scenario.MustBind(spec)
-		return runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-			return b.Randomized(seed).Verdict.Agreement
-		})
-	}
-
 	attacked := NewTable("E16a: honest token-to-append delay w·Δ under attack (n=10, t=4, λ=0.05, k=21)",
 		"delay w (Δ)", "chain validity", "dag validity")
 	for _, w := range delays {
-		chainOK := validity(scenario.Spec{
+		chainOK := o.rate(trials, scenario.Spec{
 			Protocol: scenario.Chain, N: n, T: t, Lambda: lambda, K: k,
 			Attack: scenario.AttackTieBreak, AsyncDelayMax: w,
-		})
-		dagOK := validity(scenario.Spec{
+		}, "validity")
+		dagOK := o.rate(trials, scenario.Spec{
 			Protocol: scenario.Dag, N: n, T: t, Lambda: lambda, K: k,
 			Attack: scenario.AttackPrivateChain, AsyncDelayMax: w,
-		})
+		}, "validity")
 		attacked.AddRow(w, chainOK, dagOK)
 	}
 	last := len(attacked.Rows) - 1
@@ -71,14 +57,14 @@ func RunE16(o Options) []*Table {
 	benign := NewTable("E16b: the same delays with NO Byzantine nodes, split inputs (agreement at stake)",
 		"delay w (Δ)", "chain agreement", "dag agreement")
 	for _, w := range delays {
-		chainOK := agreement(scenario.Spec{
+		chainOK := o.rate(trials, scenario.Spec{
 			Protocol: scenario.Chain, N: 8, T: 0, Lambda: 0.5, K: k,
 			Inputs: "split:4", AsyncDelayMax: w,
-		})
-		dagOK := agreement(scenario.Spec{
+		}, "agreement")
+		dagOK := o.rate(trials, scenario.Spec{
 			Protocol: scenario.Dag, N: 8, T: 0, Lambda: 0.5, K: k,
 			Inputs: "split:4", AsyncDelayMax: w,
-		})
+		}, "agreement")
 		row := len(benign.Rows)
 		benign.Expect(row, 1, OpGe, 0.85, 0,
 			"Theorem 5.1: random (non-adversarial) delays alone do not break chain agreement")

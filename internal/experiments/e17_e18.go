@@ -39,10 +39,7 @@ func RunE17(o Options) []*Table {
 			if rr {
 				spec.Access = scenario.AccessRoundRobin
 			}
-			b := scenario.MustBind(spec)
-			return runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-				return b.Randomized(seed).Verdict.Validity
-			})
+			return o.rate(trials, spec, "validity")
 		}
 		tbl.AddRow(lambda,
 			run(false, false), run(true, false),

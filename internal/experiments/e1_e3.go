@@ -106,12 +106,9 @@ func RunE3(o Options) []*Table {
 		maxT = 6
 	}
 	for t := 0; t <= maxT; t++ {
-		b := scenario.MustBind(scenario.Spec{
+		oks := o.rate(trials, scenario.Spec{
 			Protocol: scenario.Sync, N: n, T: t, Attack: scenario.AttackLoudFlip,
-		})
-		oks := runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-			return b.Sync(seed).Verdict.OK()
-		})
+		}, "ok")
 		regime := "t < n/2: must hold"
 		if float64(t) >= float64(n)/2 {
 			regime = "t >= n/2: must fail"

@@ -63,12 +63,9 @@ func RunE20(o Options) []*Table {
 			}
 		}
 		validity := func(p scenario.Protocol, attack scenario.Attack) runner.Ratio {
-			b := scenario.MustBind(scenario.Spec{
+			return o.rate(trials, scenario.Spec{
 				Protocol: p, N: 10, T: sh.t, Rates: sh.rates, K: k, Attack: attack,
-			})
-			return runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-				return b.Randomized(seed).Verdict.Validity
-			})
+			}, "validity")
 		}
 		chainOK := validity(scenario.Chain, scenario.AttackTieBreak)
 		dagOK := validity(scenario.Dag, scenario.AttackPrivateChain)

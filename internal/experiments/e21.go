@@ -29,13 +29,10 @@ func RunE21(o Options) []*Table {
 	for _, lambda := range lambdas {
 		lambda := lambda
 		run := func(p scenario.Pivot) runner.Ratio {
-			b := scenario.MustBind(scenario.Spec{
+			return o.rate(trials, scenario.Spec{
 				Protocol: scenario.Dag, N: n, T: t, Lambda: lambda, K: k,
 				Pivot: p, Attack: scenario.AttackPrivateFork,
-			})
-			return runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-				return b.Randomized(seed).Verdict.Validity
-			})
+			}, "validity")
 		}
 		tbl.AddRow(lambda, run(scenario.PivotGhost), run(scenario.PivotLongest))
 		row := len(tbl.Rows) - 1

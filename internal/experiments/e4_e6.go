@@ -158,11 +158,11 @@ func RunE6(o Options) []*Table {
 		trials = o.trials(20)
 	}
 	n, t, k := 10, 4, 21
-	bind := func(nn, tt int, lambda float64) *scenario.Bound {
-		return scenario.MustBind(scenario.Spec{
+	validity := func(nn, tt int, lambda float64) runner.Ratio {
+		return o.rate(trials, scenario.Spec{
 			Protocol: scenario.Chain, N: nn, T: tt, Lambda: lambda, K: k,
 			Attack: scenario.AttackTieBreak,
-		})
+		}, "validity")
 	}
 
 	sweep := NewTable("E6a: chain + randomized tie-breaking vs ChainTieBreaker, t/n = 0.4 fixed, rate swept",
@@ -172,8 +172,7 @@ func RunE6(o Options) []*Table {
 		lambdas = []float64{0.05, 0.25, 1.0}
 	}
 	for _, lambda := range lambdas {
-		b := bind(n, t, lambda)
-		oks := runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool { return b.Randomized(seed).Verdict.Validity })
+		oks := validity(n, t, lambda)
 		rateNT := lambda * float64(n-t)
 		tbl := 1 / (1 + rateNT)
 		sweep.AddRow(lambda, rateNT, tbl, Float(float64(t)/float64(n), "%.2f"), oks)
@@ -187,8 +186,7 @@ func RunE6(o Options) []*Table {
 	thresh := NewTable("E6b: same attack, rate fixed at λ=0.25, Byzantine share swept (n=10, k=21)",
 		"t", "t/n", "λ(n-t)", "paper bound t/n ≤", "validity ok")
 	for _, tt := range []int{1, 2, 3, 4, 5} {
-		b := bind(n, tt, 0.25)
-		oks := runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool { return b.Randomized(seed).Verdict.Validity })
+		oks := validity(n, tt, 0.25)
 		rateNT := 0.25 * float64(n-tt)
 		thresh.AddRow(tt, Float(float64(tt)/float64(n), "%.2f"), rateNT, 1/(1+rateNT), oks)
 	}

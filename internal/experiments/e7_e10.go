@@ -153,13 +153,10 @@ func RunE8(o Options) []*Table {
 	}
 	grid := NewTable("E8a: DAG (GHOST pivot) validity vs DagChainExtender, n=10, k=81", cols...)
 	cell := func(t int, lambda float64) runner.Ratio {
-		b := scenario.MustBind(scenario.Spec{
+		return o.rate(trials, scenario.Spec{
 			Protocol: scenario.Dag, N: n, T: t, Lambda: lambda, K: k,
 			Attack: scenario.AttackPrivateChain,
-		})
-		return runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-			return b.Randomized(seed).Verdict.Validity
-		})
+		}, "validity")
 	}
 	for _, t := range ts {
 		row := []any{t, Float(float64(t)/float64(n), "%.2f")}
@@ -180,13 +177,10 @@ func RunE8(o Options) []*Table {
 	pivots := NewTable("E8b: pivot rule comparison at the hostile corner (n=10, t=4, λ=1, k=81)",
 		"pivot", "validity ok")
 	for _, p := range []scenario.Pivot{scenario.PivotGhost, scenario.PivotLongest} {
-		b := scenario.MustBind(scenario.Spec{
+		oks := o.rate(trials, scenario.Spec{
 			Protocol: scenario.Dag, N: n, T: 4, Lambda: 1, K: k,
 			Pivot: p, Attack: scenario.AttackPrivateChain,
-		})
-		oks := runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-			return b.Randomized(seed).Verdict.Validity
-		})
+		}, "validity")
 		pivots.AddRow(string(p), oks)
 		pivots.Expect(len(pivots.Rows)-1, 1, OpGe, 0.75, 0,
 			"Theorem 5.6: both pivot rules hold validity under the pivot-extending attack at the hostile corner")
@@ -262,10 +256,7 @@ func RunE10(o Options) []*Table {
 	for _, lambda := range lambdas {
 		validity := func(spec scenario.Spec) runner.Ratio {
 			spec.N, spec.T, spec.Lambda, spec.K = n, t, lambda, k
-			b := scenario.MustBind(spec)
-			return runner.RateTrials(trials, o.Seed, o.Workers, func(seed uint64) bool {
-				return b.Randomized(seed).Verdict.Validity
-			})
+			return o.rate(trials, spec, "validity")
 		}
 		chainOK := validity(scenario.Spec{Protocol: scenario.Chain, Attack: scenario.AttackTieBreak})
 		dagOK := validity(scenario.Spec{Protocol: scenario.Dag, Attack: scenario.AttackPrivateChain})

@@ -12,7 +12,12 @@
 // simulator and memory) via internal/runner, merged in trial order.
 package experiments
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/runner"
+	"repro/internal/scenario"
+)
 
 // Options scales an experiment run.
 type Options struct {
@@ -32,6 +37,15 @@ func (o Options) trials(def int) int {
 		return o.Trials
 	}
 	return def
+}
+
+// rate runs trials seeds of spec, from o.Seed, through the scenario sweep
+// executor and returns the success rate of one verdict metric (ok,
+// validity, agreement or termination).
+func (o Options) rate(trials int, spec scenario.Spec, metric string) runner.Ratio {
+	spec.Seed, spec.Trials, spec.Metrics = o.Seed, trials, []string{metric}
+	res := scenario.MustRunSpec(spec, scenario.Options{Workers: o.Workers})
+	return res.Points[0].Metrics[0].Ratio(trials)
 }
 
 // Experiment is one reproducible unit: a theorem or lemma of the paper.
