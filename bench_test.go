@@ -416,6 +416,21 @@ func BenchmarkProtocolRunChain(b *testing.B) {
 	}
 }
 
+// BenchmarkProtocolRunChainTopology runs the chain protocol over a
+// small-world graph, so each trial floods every append through
+// access.Visibility — the harness path the other ProtocolRun benchmarks,
+// which read the whole memory, never reach.
+func BenchmarkProtocolRunChainTopology(b *testing.B) {
+	bound := scenario.MustBind(scenario.Spec{
+		Protocol: scenario.Chain, N: 32, T: 6, Lambda: 0.2, K: 21,
+		Attack: scenario.AttackFork, Topology: scenario.TopoSmallWorld,
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bound.Randomized(uint64(i))
+	}
+}
+
 func BenchmarkProtocolRunDag(b *testing.B) {
 	bound := scenario.MustBind(scenario.Spec{
 		Protocol: scenario.Dag, N: 10, T: 3, Lambda: 0.5, K: 21,

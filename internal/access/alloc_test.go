@@ -10,36 +10,46 @@ import (
 )
 
 // TestVisibilitySteadyStateAllocs pins the per-append cost of the
-// visibility flood: once the arrival bitsets, announce slice, hop heap
-// and simulator event heap have grown past the measured window, one
-// append-announce-drain cycle reuses all of it. Amortized slice growth is
-// kept out of the window by warming up to just past a capacity doubling.
+// visibility flood: once the arrival bitsets, announce slice and the
+// simulator's event heap (which carries every in-flight hop) have grown
+// past the measured window, one append-announce-drain cycle reuses all of
+// it. Amortized slice growth is kept out of the window by warming up to
+// just past a capacity doubling. A ring and a small-world graph cover
+// both relay shapes: regular rows and rewired shortcuts, where most
+// hops are dominated and elided at send time.
 func TestVisibilitySteadyStateAllocs(t *testing.T) {
-	s := sim.New()
-	g := topology.Ring(16, 2, 0.1)
-	m := appendmem.New(16)
-	v := NewVisibility(s, xrand.New(1, 1), g, topology.DelayModel{}, m)
-	parents := []appendmem.MsgID{appendmem.None}
-	i := 0
-	step := func() {
-		msg := m.Writer(appendmem.NodeID(i%16)).MustAppend(1, 0, parents)
-		parents[0] = msg.ID
-		i++
-		v.Sync()
-		s.Run()
+	graphs := map[string]*topology.Graph{
+		"ring":       topology.Ring(16, 2, 0.1),
+		"smallworld": topology.WattsStrogatz(xrand.New(3, 3), 16, 2, 0.3, 0.1),
 	}
-	for i < 1100 {
-		step()
-	}
+	for name, g := range graphs {
+		t.Run(name, func(t *testing.T) {
+			s := sim.New()
+			m := appendmem.New(16)
+			v := NewVisibility(s, xrand.New(1, 1), g, topology.DelayModel{Kind: topology.DelayUniform}, m)
+			parents := []appendmem.MsgID{appendmem.None}
+			i := 0
+			step := func() {
+				msg := m.Writer(appendmem.NodeID(i%16)).MustAppend(1, 0, parents)
+				parents[0] = msg.ID
+				i++
+				v.Sync()
+				s.Run()
+			}
+			for i < 1100 {
+				step()
+			}
 
-	allocs := testing.AllocsPerRun(100, step)
-	if allocs > 0 {
-		t.Errorf("warm visibility flood allocated %.2f times per append, want 0", allocs)
-	}
-	for id := 0; id < g.N(); id++ {
-		if got := v.Prefix(appendmem.NodeID(id)); got != m.Len() {
-			t.Fatalf("node %d prefix %d after quiescence, want %d", id, got, m.Len())
-		}
+			allocs := testing.AllocsPerRun(100, step)
+			if allocs > 0 {
+				t.Errorf("warm visibility flood allocated %.2f times per append, want 0", allocs)
+			}
+			for id := 0; id < g.N(); id++ {
+				if got := v.Prefix(appendmem.NodeID(id)); got != m.Len() {
+					t.Fatalf("node %d prefix %d after quiescence, want %d", id, got, m.Len())
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package access
 
 import (
 	"repro/internal/appendmem"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/xrand"
@@ -23,10 +24,19 @@ import (
 // until the gap fills. The prefix rule makes per-node views valid Views
 // while preserving "later reads see no less".
 //
-// Determinism: floods run on the simulator's event heap with a dedicated
-// rng; every draw happens inside an event callback, so per-node views are
-// a pure function of (graph, delay model, rng state, append order) and
-// byte-identical at any worker count.
+// Determinism: every hop is one simulator event carrying its (message,
+// target) payload, so floods drain in the simulator's (time, seq) order
+// with a dedicated rng; every draw happens inside an event callback, so
+// per-node views are a pure function of (graph, delay model, rng state,
+// append order) and byte-identical at any worker count.
+//
+// A hop is dropped at send time — after its delay is drawn, so the rng
+// stream is unchanged — when it could never be a first arrival: its
+// target already has the message, or already has an earlier-or-equal
+// pending arrival of it (on a tie the earlier-booked hop fires first).
+// Pending arrivals are remembered in a small direct-mapped table per node
+// (pendingWays slots keyed by the low bits of the message index); a slot
+// taken by another message only forgoes an elision, so views stay exact.
 type Visibility struct {
 	s   *sim.Sim
 	rng *xrand.PCG
@@ -36,37 +46,42 @@ type Visibility struct {
 	eps sim.Time
 
 	announced int        // messages of mem already flooded
+	words     int        // arrival bitset length, in 64-message words
 	announce  []float64  // announce instant per message
 	arrived   [][]uint64 // per-node arrival bitset over message indexes
 	prefix    []int      // per-node maximal fully-arrived prefix length
-
-	hops []visHop // in-flight relay hops, min-heap on (at, seq)
-	hseq uint64
-	tick func() // bound drain, allocated once
+	pending   []pendingHop
+	hop       func() // bound deliver, allocated once
 
 	totalLag   float64 // summed (arrival − announce) over non-author arrivals
 	deliveries int     // number of non-author arrivals
 }
 
-// visHop is one in-flight link transmission of a flooded announcement.
-type visHop struct {
-	at       sim.Time
-	seq      uint64
-	msg      int32 // message index being flooded
-	to, from int32 // receiving node; inbound neighbor
-}
+// pendingWays is the number of pending-arrival slots per node.
+const pendingWays = 8
 
-func (h *visHop) before(o *visHop) bool {
-	if h.at != o.at {
-		return h.at < o.at
-	}
-	return h.seq < o.seq
+// pendingHop is the earliest booked arrival of message tag-1 at a node; a
+// zero tag is an empty slot. Once the message has arrived the slot is
+// stale, which is harmless: the arrival bit is checked first.
+type pendingHop struct {
+	at  sim.Time
+	tag int32
 }
 
 // NewVisibility creates the visibility tracker for mem over graph g. The
 // graph's node count must match the memory's; link latencies are in
 // simulator time units.
 func NewVisibility(s *sim.Sim, rng *xrand.PCG, g *topology.Graph, dm topology.DelayModel, mem *appendmem.Memory) *Visibility {
+	v := &Visibility{}
+	v.hop = v.deliver
+	v.Reset(s, rng, g, dm, mem)
+	return v
+}
+
+// Reset rebinds the tracker to a fresh run, as if newly created by
+// NewVisibility with the same arguments, while keeping the capacity of
+// its per-node state — a pooled trial floods without regrowing it.
+func (v *Visibility) Reset(s *sim.Sim, rng *xrand.PCG, g *topology.Graph, dm topology.DelayModel, mem *appendmem.Memory) {
 	if g.N() != mem.NumNodes() {
 		panic("access: topology size does not match memory")
 	}
@@ -74,18 +89,27 @@ func NewVisibility(s *sim.Sim, rng *xrand.PCG, g *topology.Graph, dm topology.De
 	if eps <= 0 {
 		eps = 1e-9
 	}
-	v := &Visibility{
-		s:       s,
-		rng:     rng,
-		g:       g,
-		dm:      dm,
-		mem:     mem,
-		eps:     eps,
-		arrived: make([][]uint64, g.N()),
-		prefix:  make([]int, g.N()),
+	n := g.N()
+	v.s, v.rng, v.g, v.dm, v.mem, v.eps = s, rng, g, dm, mem, eps
+	v.announced, v.words = 0, 0
+	v.announce = v.announce[:0]
+	if cap(v.arrived) < n {
+		v.arrived = make([][]uint64, n)
 	}
-	v.tick = v.drain
-	return v
+	v.arrived = v.arrived[:n]
+	for id := range v.arrived {
+		v.arrived[id] = v.arrived[id][:0]
+	}
+	v.prefix = runner.Resize(v.prefix, n)
+	v.pending = runner.Resize(v.pending, n*pendingWays)
+	v.totalLag, v.deliveries = 0, 0
+}
+
+// Release drops the tracker's references into the finished run (its
+// simulator, rng, graph and memory) so a pooled tracker does not keep
+// them alive; Reset rebinds it.
+func (v *Visibility) Release() {
+	v.s, v.rng, v.g, v.mem = nil, nil, nil, nil
 }
 
 // Sync floods every message appended to the memory since the last call.
@@ -98,11 +122,13 @@ func (v *Visibility) Sync() {
 		return
 	}
 	now := float64(v.s.Now())
-	words := (n + 63) / 64
-	for id := range v.arrived {
-		for len(v.arrived[id]) < words {
-			v.arrived[id] = append(v.arrived[id], 0)
+	if words := (n + 63) / 64; words > v.words {
+		for id := range v.arrived {
+			for len(v.arrived[id]) < words {
+				v.arrived[id] = append(v.arrived[id], 0)
+			}
 		}
+		v.words = words
 	}
 	for i := v.announced; i < n; i++ {
 		v.announce = append(v.announce, now)
@@ -110,7 +136,7 @@ func (v *Visibility) Sync() {
 		// The author's own arrival: immediate, lag-free, no inbound link.
 		bitSet(v.arrived[author], i)
 		v.advancePrefix(author)
-		v.relayFrom(int32(i), author, -1)
+		v.relayFrom(int32(i), author)
 	}
 	v.announced = n
 }
@@ -123,40 +149,56 @@ func (v *Visibility) advancePrefix(node int) {
 	}
 }
 
-// relayFrom schedules one hop of the flood to every neighbor of node
-// except the inbound one.
-func (v *Visibility) relayFrom(msg int32, node int, inbound int32) {
+// relayFrom sends one hop of the flood to every neighbor of node, in
+// ascending neighbor order over the graph's CSR row; implicit complete
+// graphs fall back to the Neighbors iterator. The inbound neighbor needs
+// no special case: it already holds the message, so send skips it.
+func (v *Visibility) relayFrom(msg int32, node int) {
+	if ts, ls := v.g.Adj(node); ts != nil {
+		for k, j := range ts {
+			v.send(msg, int(j), ls[k])
+		}
+		return
+	}
 	v.g.Neighbors(node, func(j int, lat float64) bool {
-		if int32(j) == inbound {
-			return true
-		}
-		if bitGet(v.arrived[j], int(msg)) {
-			return true // already there; skip the redundant transmission
-		}
-		delay := sim.Time(v.dm.Sample(lat, v.rng))
-		if delay <= 0 {
-			delay = v.eps
-		}
-		v.hseq++
-		v.push(visHop{at: v.s.Now() + delay, seq: v.hseq, msg: msg, to: int32(j), from: int32(node)})
-		v.s.After(delay, v.tick)
+		v.send(msg, j, lat)
 		return true
 	})
 }
 
-// drain fires the earliest in-flight hop; duplicates are suppressed by the
-// arrival bitset.
-func (v *Visibility) drain() {
-	h := v.pop()
-	node := int(h.to)
-	if bitGet(v.arrived[node], int(h.msg)) {
+// send books one link transmission of msg to node j unless j already
+// has the message or an earlier-or-equal pending arrival of it. The delay
+// is drawn before the pending check, so elision never shifts the rng.
+func (v *Visibility) send(msg int32, j int, lat float64) {
+	if bitGet(v.arrived[j], int(msg)) {
+		return // already there; skip the redundant transmission
+	}
+	delay := sim.Time(v.dm.Sample(lat, v.rng))
+	if delay <= 0 {
+		delay = v.eps
+	}
+	at := v.s.Now() + delay
+	p := &v.pending[j*pendingWays+int(msg)&(pendingWays-1)]
+	if p.tag == msg+1 && p.at <= at {
+		return // dominated: the pending hop arrives first
+	}
+	*p = pendingHop{at: at, tag: msg + 1}
+	v.s.AfterArg(delay, v.hop, uint64(uint32(msg))<<32|uint64(uint32(j)))
+}
+
+// deliver fires one hop: the executing event's payload names the message
+// and the receiving node. Duplicates are suppressed by the arrival bitset.
+func (v *Visibility) deliver() {
+	arg := v.s.Arg()
+	msg, node := int32(arg>>32), int(uint32(arg))
+	if bitGet(v.arrived[node], int(msg)) {
 		return
 	}
-	bitSet(v.arrived[node], int(h.msg))
+	bitSet(v.arrived[node], int(msg))
 	v.advancePrefix(node)
-	v.totalLag += float64(v.s.Now()) - v.announce[h.msg]
+	v.totalLag += float64(v.s.Now()) - v.announce[msg]
 	v.deliveries++
-	v.relayFrom(h.msg, node, h.from)
+	v.relayFrom(msg, node)
 }
 
 // Prefix returns the length of node id's maximal fully-arrived prefix.
@@ -183,49 +225,3 @@ func (v *Visibility) Deliveries() int { return v.deliveries }
 
 func bitGet(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func bitSet(b []uint64, i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// push adds h to the hop min-heap.
-func (v *Visibility) push(h visHop) {
-	hs := append(v.hops, h)
-	i := len(hs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.before(&hs[parent]) {
-			break
-		}
-		hs[i] = hs[parent]
-		i = parent
-	}
-	hs[i] = h
-	v.hops = hs
-}
-
-// pop removes and returns the minimum hop.
-func (v *Visibility) pop() visHop {
-	hs := v.hops
-	min := hs[0]
-	n := len(hs) - 1
-	last := hs[n]
-	hs = hs[:n]
-	v.hops = hs
-	if n > 0 {
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			m := l
-			if r := l + 1; r < n && hs[r].before(&hs[l]) {
-				m = r
-			}
-			if !hs[m].before(&last) {
-				break
-			}
-			hs[i] = hs[m]
-			i = m
-		}
-		hs[i] = last
-	}
-	return min
-}

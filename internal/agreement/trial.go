@@ -32,8 +32,9 @@ func (memViews) MeanLag() float64                          { return 0 }
 // honest append path and the optional modes — are picked once, before
 // anything is scheduled, so no event handler branches on a mode. Trials
 // are pooled in a runner.Pool, whose slots survive GC cycles: a slot keeps
-// its simulator's event-heap capacity, its slices' capacity and the event
-// handlers bound to it (grant, finish, retire, one read per node). Nothing
+// its simulator's event-heap capacity, its slices' capacity, the event
+// handlers bound to it (grant, finish, retire, one read per node) and its
+// topology visibility tracker. Nothing
 // pooled escapes into the Result; the Memory, which does, is never pooled.
 type trial struct {
 	cfg     RandomizedConfig
@@ -44,6 +45,7 @@ type trial struct {
 	result  *Result
 	adv     Adversary
 	views   viewSource
+	vis     *access.Visibility // pooled topology view source
 	auth    access.Authority
 
 	rngAuth, rngAdv *xrand.PCG
@@ -80,6 +82,9 @@ var trialPool = runner.NewPool(func() *trial {
 // pool.
 func (t *trial) release() {
 	t.sim.Reset()
+	if t.vis != nil {
+		t.vis.Release()
+	}
 	clear(t.rngs)
 	clear(t.rules)
 	clear(t.lastView)
@@ -89,7 +94,7 @@ func (t *trial) release() {
 		sim: t.sim, rngs: t.rngs, rules: t.rules, lastView: t.lastView,
 		crashAt: t.crashAt, readAt: t.readAt, winRules: t.winRules,
 		grantFn: t.grantFn, finishFn: t.finishFn, retireFn: t.retireFn,
-		readFns: t.readFns, afterAppend: t.afterAppend[:0],
+		readFns: t.readFns, afterAppend: t.afterAppend[:0], vis: t.vis,
 	}
 	trialPool.Put(t)
 }
@@ -159,7 +164,12 @@ func (t *trial) setup(cfg RandomizedConfig, rule HonestRule, adv Adversary) erro
 	t.views = memViews{t.mem}
 	trialRule, shared := rule, false
 	if cfg.Topology != nil {
-		t.views = access.NewVisibility(t.sim, rngVis, cfg.Topology, cfg.TopologyDelay, t.mem)
+		if t.vis == nil {
+			t.vis = access.NewVisibility(t.sim, rngVis, cfg.Topology, cfg.TopologyDelay, t.mem)
+		} else {
+			t.vis.Reset(t.sim, rngVis, cfg.Topology, cfg.TopologyDelay, t.mem)
+		}
+		t.views = t.vis
 	} else if pt, ok := rule.(PerTrialState); ok {
 		trialRule, shared = pt.NewTrialRule(), true
 	}

@@ -8,10 +8,12 @@ import (
 )
 
 // chainStepBudget bounds the allocations of one incremental Cached.At
-// step (view grows by one message) plus a LongestTips query. The cost is
-// per-suffix work — appending the new message to the index and refreshing
-// the tip set — and must stay O(1)-ish, not O(history).
-const chainStepBudget = 24
+// step (view grows by one message) plus a longest-tips query into a reused
+// buffer, the form the honest chain rule uses. The per-suffix work —
+// appending the new message to the index and refreshing the tip set —
+// only grows slices amortized, which AllocsPerRun's per-run average
+// truncates away: a step allocates nothing.
+const chainStepBudget = 0
 
 func TestCachedExtendStepAllocBudget(t *testing.T) {
 	m := appendmem.New(8)
@@ -30,10 +32,10 @@ func TestCachedExtendStepAllocBudget(t *testing.T) {
 	size := 1000
 	c.At(m.ViewAt(size))
 
+	var tips []appendmem.MsgID
 	allocs := testing.AllocsPerRun(100, func() {
 		size++
-		tree := c.At(m.ViewAt(size))
-		_ = tree.LongestTips()
+		tips = c.At(m.ViewAt(size)).AppendLongestTips(tips[:0])
 	})
 	if allocs > chainStepBudget {
 		t.Fatalf("one cached extend step allocated %.1f times, budget %d", allocs, chainStepBudget)

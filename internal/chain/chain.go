@@ -37,24 +37,23 @@ import (
 // Tree indexes the parent structure of a view. Blocks whose parent is not
 // visible in the view are "dangling" and excluded from depth computations;
 // with the append memory this only happens for malformed (Byzantine)
-// references, since parents must be appended before children. The
-// parent-keyed children slices use index int(id)+1 so the virtual genesis
-// (appendmem.None) occupies slot 0.
+// references, since parents must be appended before children. The index
+// keeps no children table: every per-id slice is keyed by the block
+// itself, and the rare child queries (Children, Subtree) walk parent
+// links on demand.
 // Compact (the retirement companion of Extend) rebases every per-id slice
 // on an origin `off`: ids below off are frozen — their chain values are
 // retained in frozenVals but their structure is dropped, and any query
 // for them panics, mirroring the append memory's watermark contract. The
-// anchor block off-1 takes over the virtual-genesis slot 0 of the
-// parent-keyed children slices.
+// anchor block off-1 takes over the virtual genesis's role as the parent
+// of the first live level.
 type Tree struct {
 	view  appendmem.View
 	built int // number of view-prefix blocks ingested
 	size  int // non-dangling blocks, including frozen ones
 
-	off      int                 // first live id; per-id slices index id-off
-	depth    []int32             // by id-off; genesis-adjacent = 1; 0 = dangling
-	children [][]appendmem.MsgID // by parent id+1-off; slot 0 = genesis or anchor
-	roots    []appendmem.MsgID   // live blocks with parent None
+	off   int     // first live id; per-id slices index id-off
+	depth []int32 // by id-off; genesis-adjacent = 1; 0 = dangling
 
 	// Structure caches, materialized by the first Compact and maintained
 	// by extend from then on: a windowed memory may retire messages the
@@ -93,9 +92,8 @@ func Parent(msg *appendmem.Message) appendmem.MsgID {
 // Build indexes the chain structure of view from scratch.
 func Build(view appendmem.View) *Tree {
 	t := &Tree{
-		view:     view,
-		depth:    make([]int32, 0, view.Size()),
-		children: make([][]appendmem.MsgID, 1, view.Size()+1),
+		view:  view,
+		depth: make([]int32, 0, view.Size()),
 	}
 	t.extend(view.Size())
 	return t
@@ -126,12 +124,10 @@ func (t *Tree) extend(size int) {
 			t.parent = append(t.parent, p)
 			t.value = append(t.value, msg.Value)
 		}
-		t.children = append(t.children, nil)
 		t.mark = append(t.mark, 0)
 		switch {
 		case p == appendmem.None:
 			t.depth[idx] = 1
-			t.roots = append(t.roots, id)
 		default:
 			var pd int32
 			switch {
@@ -150,9 +146,6 @@ func (t *Tree) extend(size int) {
 			t.depth[idx] = pd + 1
 		}
 		t.size++
-		if ci := int(p) + 1 - t.off; ci >= 0 {
-			t.children[ci] = append(t.children[ci], id)
-		} // else: a fresh root after Compact — no genesis slot remains for it
 		if int(t.depth[idx]) > t.height {
 			t.height = int(t.depth[idx])
 			t.levelTips = t.levelTips[:0]
@@ -287,19 +280,6 @@ func (t *Tree) Compact(reqW int) int {
 	t.parent = append(t.parent[:0], t.parent[shift:]...)
 	t.value = append(t.value[:0], t.value[shift:]...)
 	t.mark = append(t.mark[:0], t.mark[shift:]...)
-	// children is keyed by parent id+1-off: the anchor's slot lands on the
-	// genesis slot 0 after the shift.
-	for i := 0; i < shift; i++ {
-		t.children[i] = nil
-	}
-	t.children = append(t.children[:0], t.children[shift:]...)
-	nroots := t.roots[:0]
-	for _, r := range t.roots {
-		if int(r) >= w {
-			nroots = append(nroots, r)
-		}
-	}
-	t.roots = nroots
 	t.off = w
 	return w
 }
@@ -351,12 +331,20 @@ func (t *Tree) depthOf(id appendmem.MsgID) int32 {
 }
 
 // Children returns the blocks whose parent is id (use None for the genesis
-// level, or the anchor block after a Compact), in arrival order.
+// level, or the anchor block after a Compact), in arrival order. Nil for
+// ids outside the live index — below the anchor (None too, once
+// compacted) or beyond the view. It scans the live index, O(view).
 func (t *Tree) Children(id appendmem.MsgID) []appendmem.MsgID {
-	if id < appendmem.None || int(id)+1-t.off >= len(t.children) || int(id)+1-t.off < 0 {
+	if id < appendmem.None || int(id) >= t.built || int(id)+1 < t.off {
 		return nil
 	}
-	return append([]appendmem.MsgID(nil), t.children[int(id)+1-t.off]...)
+	var kids []appendmem.MsgID
+	for c := max(appendmem.MsgID(t.off), id+1); int(c) < t.built; c++ {
+		if t.depth[int(c)-t.off] != 0 && t.parentOf(c) == id {
+			kids = append(kids, c)
+		}
+	}
+	return kids
 }
 
 // LongestTips returns the tips of all longest chains — every block at
@@ -397,18 +385,26 @@ func (t *Tree) ChainTo(tip appendmem.MsgID) []appendmem.MsgID {
 }
 
 // Subtree returns the number of live blocks in the subtree rooted at id,
-// including id itself. Returns 0 when id is not in the tree.
+// including id itself. Returns 0 when id is not in the tree. MsgIDs
+// strictly increase along chains, so one ascending pass over the ids after
+// id, inheriting the mark from the parent, finds every descendant: O(view).
 func (t *Tree) Subtree(id appendmem.MsgID) int {
 	if t.depthOf(id) == 0 {
 		return 0
 	}
-	count := 0
-	stack := []appendmem.MsgID{id}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		stack = append(stack, t.children[int(cur)+1-t.off]...)
+	t.markEpoch++
+	e := t.markEpoch
+	t.mark[int(id)-t.off] = e
+	count := 1
+	for c := id + 1; int(c) < t.built; c++ {
+		idx := int(c) - t.off
+		if t.depth[idx] == 0 {
+			continue
+		}
+		if p := t.parentOf(c); p >= id && t.mark[int(p)-t.off] == e {
+			t.mark[idx] = e
+			count++
+		}
 	}
 	return count
 }

@@ -32,9 +32,6 @@ func assertSameTree(t *testing.T, step int, inc, ref *Tree) {
 	if !equalIDs(inc.LongestTips(), ref.LongestTips()) {
 		t.Fatalf("prefix %d: longest tips %v vs %v", step, inc.LongestTips(), ref.LongestTips())
 	}
-	if !equalIDs(inc.roots, ref.roots) {
-		t.Fatalf("prefix %d: roots %v vs %v", step, inc.roots, ref.roots)
-	}
 	for id := appendmem.MsgID(-1); int(id) < step; id++ {
 		if !equalIDs(inc.Children(id), ref.Children(id)) {
 			t.Fatalf("prefix %d: children(%d) differ", step, id)

@@ -28,13 +28,18 @@ type Sim struct {
 	now     Time
 	events  []event // value-typed binary min-heap, ordered by (at, seq)
 	seq     uint64
+	arg     uint64 // payload of the executing event (see AfterArg)
 	stopped bool
 }
 
+// event is 32 bytes: the one-word payload lets a caller book per-event
+// state (a hop's message and target) in the heap entry itself instead of
+// a side queue of its own.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
+	arg uint64
 }
 
 // before reports whether e fires before o: earlier time, scheduling order
@@ -100,6 +105,7 @@ func (s *Sim) Reset() {
 	s.events = s.events[:0]
 	s.now = 0
 	s.seq = 0
+	s.arg = 0
 	s.stopped = false
 }
 
@@ -122,17 +128,31 @@ func (s *Sim) Pending() int { return len(s.events) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics — it would silently reorder causality.
-func (s *Sim) At(t Time, fn func()) {
+func (s *Sim) At(t Time, fn func()) { s.at(t, fn, 0) }
+
+// After schedules fn to run d time units from now. Negative d panics.
+func (s *Sim) After(d Time, fn func()) { s.at(s.now+d, fn, 0) }
+
+// AfterArg is After with a one-word payload: while fn runs, Arg returns
+// arg. A caller that schedules many events of one kind binds fn once and
+// keeps each event's state in arg, so scheduling allocates nothing and
+// needs no queue beside the simulator's. Ordering is After's: (time,
+// scheduling order), shared with every other event.
+func (s *Sim) AfterArg(d Time, fn func(), arg uint64) { s.at(s.now+d, fn, arg) }
+
+func (s *Sim) at(t Time, fn func(), arg uint64) {
 	if t < s.now {
 		panic("sim: scheduling event in the past")
 	}
 	s.seq++
-	s.events = append(s.events, event{at: t, seq: s.seq, fn: fn})
+	s.events = append(s.events, event{at: t, seq: s.seq, fn: fn, arg: arg})
 	s.siftUp(len(s.events) - 1)
 }
 
-// After schedules fn to run d time units from now. Negative d panics.
-func (s *Sim) After(d Time, fn func()) { s.At(s.now+d, fn) }
+// Arg returns the payload of the executing event: the arg it was
+// scheduled with by AfterArg, 0 for At/After. Read it before the
+// callback steps the simulator again.
+func (s *Sim) Arg() uint64 { return s.arg }
 
 // Stop makes the current Run/RunUntil return after the executing event
 // completes. Remaining events stay queued.
@@ -156,6 +176,7 @@ func (s *Sim) Step() bool {
 		s.siftDown()
 	}
 	s.now = e.at
+	s.arg = e.arg
 	e.fn()
 	return true
 }

@@ -42,6 +42,26 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 	}
 }
 
+// TestArgEventsShareOrder: payload events and plain ones share one
+// (time, scheduling order) sequence, and each callback sees its own
+// payload — plain events read 0.
+func TestArgEventsShareOrder(t *testing.T) {
+	s := New()
+	var got []uint64
+	rec := func() { got = append(got, s.Arg()) }
+	s.AfterArg(5, rec, 1)
+	s.At(5, rec)
+	s.AfterArg(2, rec, 3)
+	s.AfterArg(5, rec, 4)
+	s.Run()
+	want := []uint64{3, 1, 0, 4}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("payloads fired as %v, want %v", got, want)
+		}
+	}
+}
+
 func TestClockAdvances(t *testing.T) {
 	s := New()
 	var seen []Time
