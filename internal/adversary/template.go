@@ -126,6 +126,9 @@ type DagAttack struct {
 	tips  []appendmem.MsgID // per-lane private tip; None until rooted
 	seg   []int             // per-lane blocks since the last rooting
 	grant int
+	// Reused per grant: the fresh view's pivot and the ordering prefix the
+	// StartWithin gate counts.
+	pivot, order []appendmem.MsgID
 }
 
 // Init implements agreement.Adversary.
@@ -155,9 +158,15 @@ func (a *DagAttack) OnGrant(g access.Grant) {
 	var pivot []appendmem.MsgID
 	if a.P.Root == RootPivot || a.P.StartWithin > 0 {
 		d := a.idx.At(a.env.Mem.Read())
-		pivot = a.Pivot.Pivot(d)
-		if a.P.StartWithin > 0 && len(d.Linearize(pivot)) < a.env.Cfg.K-a.P.StartWithin {
-			return // too early: wasting the token IS the strategy
+		a.pivot = a.Pivot.AppendPivot(a.pivot[:0], d)
+		pivot = a.pivot
+		if a.P.StartWithin > 0 {
+			// The gate reads only the ordering's first K−StartWithin blocks.
+			need := a.env.Cfg.K - a.P.StartWithin
+			a.order = d.AppendLinearize(a.order[:0], pivot, need)
+			if len(a.order) < need {
+				return // too early: wasting the token IS the strategy
+			}
 		}
 	}
 	lane := 0

@@ -244,6 +244,30 @@ type PerNodeState interface {
 	NewNodeRule() HonestRule
 }
 
+// Recycler is optionally implemented, beside PerTrialState and
+// PerNodeState, by rules whose trial and node instances own storage worth
+// keeping across trials: indexes and their buffers. The harness pools its
+// trial slots, and a slot keeps the instances its last trial made. When
+// that trial ends the slot calls Release on each, which must drop every
+// reference into the trial and keep only capacity. The slot's next trial
+// then hands each released instance, as spare, to one NewTrialRuleFrom
+// (called where NewTrialRule would be) or NewNodeRuleFrom (where
+// NewNodeRule would be). These build the same instance as the plain
+// constructor, on spare's storage; a spare they cannot use (nil, another
+// kind's) is ignored. Spare is not used again either way.
+//
+// A node's private decision index (no trial step: topology visibility)
+// is better made fresh per trial than recycled. The pool makes its slots
+// on demand, and a new slot's first trials would regrow every node's
+// private index from empty: a one-off cost per slot, about 2% of
+// perfbench's chain-topology sweep, that lands in whichever sweep first
+// needs the slot, so allocation per sweep would no longer repeat.
+type Recycler interface {
+	Release()
+	NewTrialRuleFrom(spare HonestRule) HonestRule
+	NewNodeRuleFrom(spare HonestRule) HonestRule
+}
+
 // nodeRule returns the per-node instance of rule when it keeps per-node
 // state, else rule itself.
 func nodeRule(rule HonestRule) HonestRule {
@@ -364,14 +388,8 @@ func RunRandomized(cfg RandomizedConfig, rule HonestRule, adv Adversary) (*Resul
 		return nil, err
 	}
 	t := trialPool.Get()
-	defer t.release()
-	if err := t.setup(cfg, rule, adv); err != nil {
-		return nil, err
-	}
-	t.schedule()
-	t.sim.Run()
-	t.auth.Stop()
-	return t.collect(), nil
+	defer trialPool.Put(t)
+	return t.run(cfg, rule, adv)
 }
 
 // MustRun is RunRandomized but panics on configuration errors; for

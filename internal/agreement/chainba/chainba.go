@@ -42,7 +42,10 @@ import (
 // longest tips, plus its own index for views the shared one cannot
 // extend). Without the trial step each node's decision index is its own.
 // Behaviour is identical either way: the tie-breaker still draws from the
-// node's randomness at append time.
+// node's randomness at append time. Trial and node instances recycle
+// (agreement.Recycler): a pooled trial slot hands its last trial's
+// instances back, and the new ones keep their indexes' and buffers'
+// capacity.
 type Rule struct {
 	TB      chain.TieBreaker
 	Confirm int
@@ -60,7 +63,8 @@ type nodeState struct {
 	dec     *chain.Cached
 	private bool
 	// own indexes the views dec cannot extend (an asynchronous node's
-	// stale append view, a resumed run's first views); built on demand.
+	// stale append view, a resumed run's first views); made on demand and
+	// counted only while live.
 	own *chain.Cached
 
 	// tips memoizes the longest tips of memoView, the view of the node's
@@ -75,19 +79,57 @@ type nodeState struct {
 // a fresh decision index for its node rules to share. Its own Append and
 // Decide stay stateless, like the zero value's.
 func (r Rule) NewTrialRule() agreement.HonestRule {
-	r.shared = chain.NewCached()
-	return r
+	return r.NewTrialRuleFrom(nil)
 }
 
 // NewNodeRule implements agreement.PerNodeState: a copy of the rule with
 // fresh per-node state over the trial's shared decision index, or over a
 // private one when there is no trial rule.
 func (r Rule) NewNodeRule() agreement.HonestRule {
-	r.st = &nodeState{dec: r.shared}
-	if r.st.dec == nil {
-		r.st.dec, r.st.private = chain.NewCached(), true
+	return r.NewNodeRuleFrom(nil)
+}
+
+// NewTrialRuleFrom implements agreement.Recycler: NewTrialRule over a
+// released trial rule's index.
+func (r Rule) NewTrialRuleFrom(spare agreement.HonestRule) agreement.HonestRule {
+	if old, ok := spare.(Rule); ok && old.st == nil && old.shared != nil {
+		r.shared = old.shared
+	} else {
+		r.shared = chain.NewCached()
 	}
 	return r
+}
+
+// NewNodeRuleFrom implements agreement.Recycler: NewNodeRule over a
+// released node rule's state.
+func (r Rule) NewNodeRuleFrom(spare agreement.HonestRule) agreement.HonestRule {
+	if old, ok := spare.(Rule); ok && old.st != nil {
+		r.st = old.st
+	} else {
+		r.st = &nodeState{}
+	}
+	r.st.dec, r.st.private = r.shared, r.shared == nil
+	if r.st.private {
+		// Made fresh, not recycled: see agreement.Recycler.
+		r.st.dec = chain.NewCached()
+	}
+	return r
+}
+
+// Release implements agreement.Recycler: it resets the recycled indexes
+// the instance owns and empties its buffers, keeping their capacity.
+func (r Rule) Release() {
+	switch {
+	case r.st != nil:
+		st := r.st
+		if st.own != nil {
+			st.own.Reset()
+		}
+		st.dec, st.private, st.memoView = nil, false, appendmem.View{}
+		st.tips = st.tips[:0]
+	case r.shared != nil:
+		r.shared.Reset()
+	}
 }
 
 // node returns the rule's node state; the stateless rule gets a throwaway
@@ -155,7 +197,7 @@ func (r Rule) ViewFloor() int {
 	return 0
 }
 
-// floor is ViewFloor of a node. A missing own index adds no bound: only
+// floor is ViewFloor of a node. An unused own index adds no bound: only
 // views older than the decision index need it, and windowed runs (the
 // default timing model) append and decide on the latest read only.
 func (st *nodeState) floor() int {
@@ -163,7 +205,7 @@ func (st *nodeState) floor() int {
 	if len(st.tips) > 0 {
 		f = int(st.tips[0]) // arrival order: the smallest id
 	}
-	if st.own != nil {
+	if st.own != nil && st.own.Live() {
 		f = min(f, st.own.Floor())
 	}
 	if st.private {
@@ -179,7 +221,7 @@ func (r Rule) CompactTo(w int) int {
 	switch {
 	case r.st != nil:
 		got := w
-		if r.st.own != nil {
+		if r.st.own != nil && r.st.own.Live() {
 			got = min(got, r.st.own.CompactTo(w))
 		}
 		if r.st.private {

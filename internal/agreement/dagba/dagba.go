@@ -42,11 +42,12 @@ func (p PivotRule) String() string {
 
 // Pivot returns the pivot chain of d under rule p, oldest first.
 func (p PivotRule) Pivot(d *dag.Dag) []appendmem.MsgID {
-	return p.appendPivot(nil, d)
+	return p.AppendPivot(nil, d)
 }
 
-// appendPivot appends the pivot chain of d under rule p to dst.
-func (p PivotRule) appendPivot(dst []appendmem.MsgID, d *dag.Dag) []appendmem.MsgID {
+// AppendPivot appends the pivot chain of d under rule p to dst and returns
+// the extended slice; it allocates nothing when dst has room.
+func (p PivotRule) AppendPivot(dst []appendmem.MsgID, d *dag.Dag) []appendmem.MsgID {
 	if p == Ghost {
 		return d.AppendGhostPivot(dst)
 	}
@@ -67,7 +68,10 @@ func (p PivotRule) appendPivot(dst []appendmem.MsgID, d *dag.Dag) []appendmem.Ms
 // the same memory) and then per node (NewNodeRule: the node's memoized
 // append parents, plus its own index for views the shared one cannot
 // extend). Without the trial step each node's decision index is its own.
-// Behaviour is identical either way.
+// Behaviour is identical either way. Trial and node instances recycle
+// (agreement.Recycler): a pooled trial slot hands its last trial's
+// instances back, and the new ones keep their indexes' and buffers'
+// capacity.
 type Rule struct {
 	Pivot   PivotRule
 	Confirm int
@@ -85,7 +89,8 @@ type nodeState struct {
 	dec     *dag.Cached
 	private bool
 	// own indexes the views dec cannot extend (an asynchronous node's
-	// stale append view, a resumed run's first views); built on demand.
+	// stale append view, a resumed run's first views); made on demand and
+	// counted only while live.
 	own *dag.Cached
 
 	// parents memoizes the append parents of memoView, the view of the
@@ -101,19 +106,57 @@ type nodeState struct {
 // a fresh decision index for its node rules to share. Its own Append and
 // Decide stay stateless, like the zero value's.
 func (r Rule) NewTrialRule() agreement.HonestRule {
-	r.shared = dag.NewCached()
-	return r
+	return r.NewTrialRuleFrom(nil)
 }
 
 // NewNodeRule implements agreement.PerNodeState: a copy of the rule with
 // fresh per-node state over the trial's shared decision index, or over a
 // private one when there is no trial rule.
 func (r Rule) NewNodeRule() agreement.HonestRule {
-	r.st = &nodeState{dec: r.shared}
-	if r.st.dec == nil {
-		r.st.dec, r.st.private = dag.NewCached(), true
+	return r.NewNodeRuleFrom(nil)
+}
+
+// NewTrialRuleFrom implements agreement.Recycler: NewTrialRule over a
+// released trial rule's index.
+func (r Rule) NewTrialRuleFrom(spare agreement.HonestRule) agreement.HonestRule {
+	if old, ok := spare.(Rule); ok && old.st == nil && old.shared != nil {
+		r.shared = old.shared
+	} else {
+		r.shared = dag.NewCached()
 	}
 	return r
+}
+
+// NewNodeRuleFrom implements agreement.Recycler: NewNodeRule over a
+// released node rule's state.
+func (r Rule) NewNodeRuleFrom(spare agreement.HonestRule) agreement.HonestRule {
+	if old, ok := spare.(Rule); ok && old.st != nil {
+		r.st = old.st
+	} else {
+		r.st = &nodeState{}
+	}
+	r.st.dec, r.st.private = r.shared, r.shared == nil
+	if r.st.private {
+		// Made fresh, not recycled: see agreement.Recycler.
+		r.st.dec = dag.NewCached()
+	}
+	return r
+}
+
+// Release implements agreement.Recycler: it resets the recycled indexes
+// the instance owns and empties its buffers, keeping their capacity.
+func (r Rule) Release() {
+	switch {
+	case r.st != nil:
+		st := r.st
+		if st.own != nil {
+			st.own.Reset()
+		}
+		st.dec, st.private, st.memoView = nil, false, appendmem.View{}
+		st.parents, st.pivot, st.vals = st.parents[:0], st.pivot[:0], st.vals[:0]
+	case r.shared != nil:
+		r.shared.Reset()
+	}
 }
 
 // node returns the rule's node state; the stateless rule gets a throwaway
@@ -164,7 +207,7 @@ func (r Rule) Append(view appendmem.View, w *appendmem.Writer, input int64, _ *x
 			st.memoView, st.parents = view, st.parents[:0]
 		} else {
 			d := st.index(view)
-			st.pivot = r.Pivot.appendPivot(st.pivot[:0], d)
+			st.pivot = r.Pivot.AppendPivot(st.pivot[:0], d)
 			st.memoize(view, d, st.pivot)
 		}
 	}
@@ -176,7 +219,7 @@ func (r Rule) Append(view appendmem.View, w *appendmem.Writer, input int64, _ *x
 func (r Rule) Decide(view appendmem.View, k int, _ *xrand.PCG) (int64, bool) {
 	st := r.node()
 	d := st.index(view)
-	st.pivot = r.Pivot.appendPivot(st.pivot[:0], d)
+	st.pivot = r.Pivot.AppendPivot(st.pivot[:0], d)
 	st.memoize(view, d, st.pivot)
 	st.vals = d.AppendOrderedValues(st.vals[:0], st.pivot, k+r.Confirm)
 	if len(st.vals) < k+r.Confirm {
@@ -207,7 +250,7 @@ func (r Rule) ViewFloor() int {
 	return 0
 }
 
-// floor is ViewFloor of a node. A missing own index adds no bound: only
+// floor is ViewFloor of a node. An unused own index adds no bound: only
 // views older than the decision index need it, and windowed runs (the
 // default timing model) append and decide on the latest read only.
 func (st *nodeState) floor() int {
@@ -215,7 +258,7 @@ func (st *nodeState) floor() int {
 	for _, p := range st.parents {
 		f = min(f, int(p))
 	}
-	if st.own != nil {
+	if st.own != nil && st.own.Live() {
 		f = min(f, st.own.Floor())
 	}
 	if st.private {
@@ -231,7 +274,7 @@ func (r Rule) CompactTo(w int) int {
 	switch {
 	case r.st != nil:
 		got := w
-		if r.st.own != nil {
+		if r.st.own != nil && r.st.own.Live() {
 			got = min(got, r.st.own.CompactTo(w))
 		}
 		if r.st.private {

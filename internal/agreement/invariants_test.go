@@ -24,7 +24,7 @@ func (lastValueRule) Decide(view appendmem.View, k int, rng *xrand.PCG) (int64, 
 	if view.Size() < k {
 		return 0, false
 	}
-	return view.Message(appendmem.MsgID(view.Size()-1)).Value, true
+	return view.Message(appendmem.MsgID(view.Size() - 1)).Value, true
 }
 
 func TestInvariantsCatchUnsafeRule(t *testing.T) {

@@ -33,8 +33,9 @@ func (memViews) MeanLag() float64                          { return 0 }
 // anything is scheduled, so no event handler branches on a mode. Trials
 // are pooled in a runner.Pool, whose slots survive GC cycles: a slot keeps
 // its simulator's event-heap capacity, its slices' capacity, the event
-// handlers bound to it (grant, finish, retire, one read per node) and its
-// topology visibility tracker. Nothing
+// handlers bound to it (grant, finish, retire, one read per node), its
+// topology visibility tracker and the released rule instances of its last
+// trial (see Recycler), whose indexes keep their capacity. Nothing
 // pooled escapes into the Result; the Memory, which does, is never pooled.
 type trial struct {
 	cfg     RandomizedConfig
@@ -50,7 +51,13 @@ type trial struct {
 
 	rngAuth, rngAdv *xrand.PCG
 	rngs            []*xrand.PCG
+	trialRule       HonestRule // the rule's trial instance; nil when not split per trial
 	rules           []HonestRule
+	// recycles reports that rules holds node instances a Recycler made,
+	// which alone go back to the spares: instances a plain NewNodeRule
+	// made are not drawn from them, and returning those would grow the
+	// spares by a trial's worth each time.
+	recycles        bool
 	lastView        []appendmem.View
 	crashAt, readAt []sim.Time
 
@@ -70,20 +77,50 @@ type trial struct {
 	undecided   int
 	done        bool
 	stallUntil  sim.Time
+
+	// Released rule instances of the slot's last trials, for the next
+	// split (see Recycler): at most one trial instance and one per node.
+	spareTrial HonestRule
+	spareNodes []HonestRule
 }
 
-var trialPool = runner.NewPool(func() *trial {
+var trialPool = runner.NewPool(newTrial)
+
+func newTrial() *trial {
 	t := &trial{sim: sim.New()}
 	t.grantFn, t.finishFn, t.retireFn = t.grant, t.finish, t.retire
 	return t
-})
+}
 
-// release drops every reference into the run and returns the trial to the
-// pool.
+// run executes one filled-config run on the slot and leaves the slot
+// released for the next.
+func (t *trial) run(cfg RandomizedConfig, rule HonestRule, adv Adversary) (*Result, error) {
+	defer t.release()
+	if err := t.setup(cfg, rule, adv); err != nil {
+		return nil, err
+	}
+	t.schedule()
+	t.sim.Run()
+	t.auth.Stop()
+	return t.collect(), nil
+}
+
+// release drops every reference into the run, keeping capacity and the
+// released rule instances.
 func (t *trial) release() {
 	t.sim.Reset()
 	if t.vis != nil {
 		t.vis.Release()
+	}
+	if rc, ok := t.trialRule.(Recycler); ok {
+		rc.Release()
+		t.spareTrial = t.trialRule
+	}
+	for _, r := range t.rules {
+		if rc, ok := r.(Recycler); ok && t.recycles {
+			rc.Release()
+			t.spareNodes = append(t.spareNodes, r)
+		}
 	}
 	clear(t.rngs)
 	clear(t.rules)
@@ -95,8 +132,36 @@ func (t *trial) release() {
 		crashAt: t.crashAt, readAt: t.readAt, winRules: t.winRules,
 		grantFn: t.grantFn, finishFn: t.finishFn, retireFn: t.retireFn,
 		readFns: t.readFns, afterAppend: t.afterAppend[:0], vis: t.vis,
+		spareTrial: t.spareTrial, spareNodes: t.spareNodes,
 	}
-	trialPool.Put(t)
+}
+
+// newTrialRule is pt's NewTrialRule, on the slot's spare when the rule
+// recycles.
+func (t *trial) newTrialRule(pt PerTrialState) HonestRule {
+	if rc, ok := pt.(Recycler); ok {
+		spare := t.spareTrial
+		t.spareTrial = nil
+		return rc.NewTrialRuleFrom(spare)
+	}
+	return pt.NewTrialRule()
+}
+
+// nodeRule is the package's nodeRule, on one of the slot's spares when
+// the rule recycles.
+func (t *trial) nodeRule(rule HonestRule) HonestRule {
+	rc, ok := rule.(Recycler)
+	if !ok {
+		return nodeRule(rule)
+	}
+	t.recycles = true
+	var spare HonestRule
+	if n := len(t.spareNodes); n > 0 {
+		spare = t.spareNodes[n-1]
+		t.spareNodes[n-1] = nil
+		t.spareNodes = t.spareNodes[:n-1]
+	}
+	return rc.NewNodeRuleFrom(spare)
 }
 
 // setup prepares the run: it draws the randomness from the root stream in
@@ -171,12 +236,13 @@ func (t *trial) setup(cfg RandomizedConfig, rule HonestRule, adv Adversary) erro
 		}
 		t.views = t.vis
 	} else if pt, ok := rule.(PerTrialState); ok {
-		trialRule, shared = pt.NewTrialRule(), true
+		trialRule, shared = t.newTrialRule(pt), true
+		t.trialRule = trialRule
 	}
 	t.rules = runner.Resize(t.rules, cfg.N)
 	for i := range t.rules {
 		if !t.roster.IsByzantine(appendmem.NodeID(i)) {
-			t.rules[i] = nodeRule(trialRule)
+			t.rules[i] = t.nodeRule(trialRule)
 		}
 	}
 	if cfg.Window > 0 {

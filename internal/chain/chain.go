@@ -91,12 +91,27 @@ func Parent(msg *appendmem.Message) appendmem.MsgID {
 
 // Build indexes the chain structure of view from scratch.
 func Build(view appendmem.View) *Tree {
-	t := &Tree{
-		view:  view,
-		depth: make([]int32, 0, view.Size()),
+	t := &Tree{}
+	t.reset(view)
+	return t
+}
+
+// reset re-indexes the Tree from scratch over view, keeping the capacity
+// of every slice: the result answers exactly like Build(view). The
+// compaction state and the structure caches go too, so a recycled
+// windowed index starts unbounded again.
+func (t *Tree) reset(view appendmem.View) {
+	*t = Tree{
+		view:       view,
+		depth:      slices.Grow(t.depth[:0], view.Size()),
+		parent:     t.parent[:0],
+		value:      t.value[:0],
+		levelTips:  t.levelTips[:0],
+		frozenVals: t.frozenVals[:0],
+		mark:       t.mark[:0],
+		markEpoch:  t.markEpoch,
 	}
 	t.extend(view.Size())
-	return t
 }
 
 // Extend ingests the blocks appended between the Tree's current view and
@@ -169,8 +184,8 @@ func (t *Tree) track() {
 		return
 	}
 	t.tracking = true
-	t.parent = make([]appendmem.MsgID, 0, t.built)
-	t.value = make([]int64, 0, t.built)
+	t.parent = slices.Grow(t.parent[:0], t.built-t.off)
+	t.value = slices.Grow(t.value[:0], t.built-t.off)
 	for id := appendmem.MsgID(t.off); int(id) < t.built; id++ {
 		msg := t.view.Message(id)
 		t.parent = append(t.parent, Parent(msg))
@@ -555,12 +570,16 @@ func (t *Tree) SortByDepth(ids []appendmem.MsgID) {
 // extends the held index by the view's new suffix instead of rebuilding;
 // when handed a view of a different memory or an older prefix (e.g. an
 // asynchronous node's stale append view) it falls back to a from-scratch
-// Build, so it is always correct and only *fast* in the monotone case.
+// rebuild, in place, so it is always correct and only *fast* in the
+// monotone case.
 //
 // The zero value is not ready; use NewCached. A Cached must not be shared
 // across goroutines.
 type Cached struct {
 	t *Tree
+	// live reports that t indexes this consumer's reads: false before the
+	// first At and after Reset, which keeps t only for its capacity.
+	live bool
 }
 
 // NewCached returns an empty handle; the first At builds the index.
@@ -571,19 +590,37 @@ func NewCached() *Cached { return &Cached{} }
 // owned by the handle and is invalidated (re-pointed at a larger view) by
 // the next At call.
 func (c *Cached) At(view appendmem.View) *Tree {
-	if c.t != nil && c.t.view.SubsetOf(view) {
+	switch {
+	case c.live && c.t.view.SubsetOf(view):
 		c.t.Extend(view)
-		return c.t
+	case c.t != nil:
+		c.t.reset(view)
+	default:
+		c.t = Build(view)
 	}
-	c.t = Build(view)
+	c.live = true
 	return c.t
 }
+
+// Reset empties the handle for another consumer, as if freshly made by
+// NewCached, but keeps the held index's storage: the next At rebuilds in
+// place. It drops the index's reference to the memory it read.
+func (c *Cached) Reset() {
+	if c.t != nil {
+		c.t.reset(appendmem.View{})
+	}
+	c.live = false
+}
+
+// Live reports whether the handle holds an index: At was called since it
+// was made or last Reset.
+func (c *Cached) Live() bool { return c.live }
 
 // Extends reports whether At(view) extends the held index instead of
 // rebuilding it: before the first At, or when the held index's view is a
 // prefix of view.
 func (c *Cached) Extends(view appendmem.View) bool {
-	return c.t == nil || c.t.view.SubsetOf(view)
+	return !c.live || c.t.view.SubsetOf(view)
 }
 
 // Floor returns the smallest id the handle may still touch on its next At
@@ -592,7 +629,7 @@ func (c *Cached) Extends(view appendmem.View) bool {
 // been built yet — such a consumer would Build from id 0, so nothing may
 // be retired under it.
 func (c *Cached) Floor() int {
-	if c.t == nil {
+	if !c.live {
 		return 0
 	}
 	f := c.t.built
@@ -605,7 +642,7 @@ func (c *Cached) Floor() int {
 // CompactTo forwards Compact(reqW) to the held index and returns the
 // watermark achieved; 0 when no index exists yet.
 func (c *Cached) CompactTo(reqW int) int {
-	if c.t == nil {
+	if !c.live {
 		return 0
 	}
 	return c.t.Compact(reqW)

@@ -31,7 +31,21 @@
 // costs O(parents) plus one walk up the block's selected-parent path for
 // the weight updates, instead of the O(view) full rebuild; a consumer that
 // re-reads a growing memory every step (see Cached) pays amortized O(1) per
-// block instead of O(view) per step.
+// block instead of O(view) per step. The index keeps no children table:
+// every per-block slice is keyed by the block itself (or, for the GHOST
+// tie-state, by the parent whose heaviest kid it records), and the rare
+// child query (Children) walks parent links on demand.
+//
+// # Memoized ordering
+//
+// A pivot block's past cone never changes — parents are fixed at append
+// time — so the epoch a pivot block contributes to the linearization
+// depends only on the pivot prefix up to and including it. The index keeps
+// the epochs of the last pivot prefix it ordered; an ordering call finds
+// the first pivot position that differs from that memo, drops the memo
+// from there, and resumes the epoch walk at that position, stopping once
+// the requested prefix is covered. Between two decision checks the pivot
+// usually only grows at its tip, so a check orders the new epochs only.
 package dag
 
 import (
@@ -60,15 +74,13 @@ type Dag struct {
 	built int // number of view-prefix blocks ingested
 	size  int // non-dangling blocks, including frozen ones
 
-	off       int                 // first live id; per-id slices index id-off
-	inDag     []bool              // by id-off
-	depth     []int32             // longest all-parent path; genesis children = 1; 0 = dangling
-	treeDepth []int32             // selected-parent tree depth; 0 = dangling
-	weight    []int32             // selected-parent subtree size
-	children  [][]appendmem.MsgID // by parent id+1-off, over all parent edges
-	treeKids  [][]appendmem.MsgID // by parent id+1-off, selected-parent tree
-	ghostBest []appendmem.MsgID   // by parent id+1-off: earliest heaviest tree kid; None when childless
-	parent    []appendmem.MsgID   // selected parent, cached to avoid Message lookups on hot walks
+	off       int               // first live id; per-id slices index id-off
+	inDag     []bool            // by id-off
+	depth     []int32           // longest all-parent path; genesis children = 1; 0 = dangling
+	treeDepth []int32           // selected-parent tree depth; 0 = dangling
+	weight    []int32           // selected-parent subtree size
+	ghostBest []appendmem.MsgID // by parent id+1-off: earliest heaviest tree kid; None when childless
+	parent    []appendmem.MsgID // selected parent, cached to avoid Message lookups on hot walks
 
 	// Structure caches, materialized by the first Compact and maintained
 	// by extend from then on: a windowed memory may retire messages the
@@ -98,16 +110,23 @@ type Dag struct {
 	frozenVals      []int64
 	anchorTreeDepth int32
 
+	// Memoized ordering (see order): the pivot prefix whose epochs are
+	// ordered, those epochs concatenated (each pivot block last in its
+	// own) with their blocks' values, the end offset of each epoch in
+	// memoOrder, and per block the 1-based memo position of the pivot
+	// block whose epoch holds it (0 = not in the memo).
+	memoPivot []appendmem.MsgID
+	memoOrder []appendmem.MsgID
+	memoVals  []int64
+	memoEnds  []int
+	epochOf   []int32 // by id-off
+
 	// Epoch-stamped scratch for the traversal helpers: a slot is "visited"
 	// in the current traversal iff its stamp equals the current epoch, so
 	// clearing between traversals is a counter increment, not an O(V) wipe.
-	visited      []uint64
-	visitEpoch   uint64
-	ordered      []uint64
-	orderedEpoch uint64
-	dfsStack     []appendmem.MsgID
-	epochBuf     []appendmem.MsgID
-	orderBuf     []appendmem.MsgID // AppendOrderedValues' linearization prefix
+	visited    []uint64
+	visitEpoch uint64
+	dfsStack   []appendmem.MsgID
 }
 
 // SelectedParent returns the block's selected parent: Parents[0], or None
@@ -121,21 +140,43 @@ func SelectedParent(msg *appendmem.Message) appendmem.MsgID {
 
 // Build indexes the DAG of view from scratch.
 func Build(view appendmem.View) *Dag {
-	d := &Dag{
-		view:        view,
-		inDag:       make([]bool, 0, view.Size()),
-		depth:       make([]int32, 0, view.Size()),
-		treeDepth:   make([]int32, 0, view.Size()),
-		weight:      make([]int32, 0, view.Size()),
-		children:    make([][]appendmem.MsgID, 1, view.Size()+1),
-		treeKids:    make([][]appendmem.MsgID, 1, view.Size()+1),
-		ghostBest:   make([]appendmem.MsgID, 1, view.Size()+1),
-		parent:      make([]appendmem.MsgID, 0, view.Size()),
-		bestTreeTip: appendmem.None,
-	}
-	d.ghostBest[0] = appendmem.None
-	d.extend(view.Size())
+	d := &Dag{}
+	d.reset(view)
 	return d
+}
+
+// reset re-indexes the Dag from scratch over view, keeping the capacity
+// of every slice: the result answers exactly like Build(view). The
+// compaction state, the structure caches and the ordering memo go too, so
+// a recycled windowed index starts unbounded again.
+func (d *Dag) reset(view appendmem.View) {
+	n := view.Size()
+	clear(d.parents[:cap(d.parents)]) // drop the spans into old arena blocks
+	*d = Dag{
+		view:        view,
+		inDag:       slices.Grow(d.inDag[:0], n),
+		depth:       slices.Grow(d.depth[:0], n),
+		treeDepth:   slices.Grow(d.treeDepth[:0], n),
+		weight:      slices.Grow(d.weight[:0], n),
+		ghostBest:   append(slices.Grow(d.ghostBest[:0], n+1), appendmem.None),
+		parent:      slices.Grow(d.parent[:0], n),
+		parents:     d.parents[:0],
+		value:       d.value[:0],
+		authorSeq:   d.authorSeq[:0],
+		parArena:    d.parArena[:0],
+		bestTreeTip: appendmem.None,
+		tips:        d.tips[:0],
+		frozenVals:  d.frozenVals[:0],
+		memoPivot:   d.memoPivot[:0],
+		memoOrder:   d.memoOrder[:0],
+		memoVals:    d.memoVals[:0],
+		memoEnds:    d.memoEnds[:0],
+		epochOf:     slices.Grow(d.epochOf[:0], n),
+		visited:     slices.Grow(d.visited[:0], n),
+		visitEpoch:  d.visitEpoch,
+		dfsStack:    d.dfsStack[:0],
+	}
+	d.extend(n)
 }
 
 // Extend ingests the blocks appended between the Dag's current view and
@@ -193,9 +234,13 @@ func (d *Dag) track() {
 		return
 	}
 	d.tracking = true
-	d.parents = make([][]appendmem.MsgID, d.built-d.off)
-	d.value = make([]int64, d.built-d.off)
-	d.authorSeq = make([]int64, d.built-d.off)
+	n := d.built - d.off
+	d.parents = slices.Grow(d.parents[:0], n)[:n]
+	d.value = slices.Grow(d.value[:0], n)[:n]
+	d.authorSeq = slices.Grow(d.authorSeq[:0], n)[:n]
+	clear(d.parents)
+	clear(d.value)
+	clear(d.authorSeq)
 	for id := appendmem.MsgID(d.off); int(id) < d.built; id++ {
 		idx := int(id) - d.off
 		if !d.inDag[idx] {
@@ -258,8 +303,6 @@ func (d *Dag) extend(size int) {
 		d.depth = append(d.depth, 0)
 		d.treeDepth = append(d.treeDepth, 0)
 		d.weight = append(d.weight, 0)
-		d.children = append(d.children, nil)
-		d.treeKids = append(d.treeKids, nil)
 		d.ghostBest = append(d.ghostBest, appendmem.None)
 		d.parent = append(d.parent, appendmem.None)
 		if d.tracking {
@@ -268,7 +311,7 @@ func (d *Dag) extend(size int) {
 			d.authorSeq = append(d.authorSeq, 0)
 		}
 		d.visited = append(d.visited, 0)
-		d.ordered = append(d.ordered, 0)
+		d.epochOf = append(d.epochOf, 0)
 		if !ok {
 			continue
 		}
@@ -283,31 +326,12 @@ func (d *Dag) extend(size int) {
 		if int(d.depth[idx]) > d.height {
 			d.height = int(d.depth[idx])
 		}
-		// Child edges (one per distinct parent) and tip maintenance: every
-		// referenced parent stops being childless, the new block becomes the
-		// (largest-id) tip.
-		if len(msg.Parents) == 0 {
-			if d.off == 0 {
-				d.children[0] = append(d.children[0], id)
-			} // else: a fresh root after Compact — no genesis slot remains
-		} else {
-			for i, p := range msg.Parents {
-				dup := false
-				for _, q := range msg.Parents[:i] {
-					if q == p {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				if ci := int(p) + 1 - d.off; ci >= 0 {
-					d.children[ci] = append(d.children[ci], id)
-				}
-				if p != appendmem.None {
-					d.dropTip(p)
-				}
+		// Tip maintenance: every referenced parent stops being childless
+		// (a duplicate reference finds it gone already), the new block
+		// becomes the (largest-id) tip.
+		for _, p := range msg.Parents {
+			if p != appendmem.None {
+				d.dropTip(p)
 			}
 		}
 		d.tips = append(d.tips, id)
@@ -319,9 +343,6 @@ func (d *Dag) extend(size int) {
 		// weights need not stay current.
 		sp := SelectedParent(msg)
 		d.parent[idx] = sp
-		if si := int(sp) + 1 - d.off; si >= 0 {
-			d.treeKids[si] = append(d.treeKids[si], id)
-		}
 		if sp == appendmem.None {
 			d.treeDepth[idx] = 1
 		} else {
@@ -427,20 +448,25 @@ func (d *Dag) AppendTips(dst []appendmem.MsgID) []appendmem.MsgID {
 	return append(dst, d.tips...)
 }
 
-// kids returns the child list slot for id (None — or the compaction
-// anchor — maps to slot 0); nil when id is outside the indexed range.
-func (d *Dag) kids(of [][]appendmem.MsgID, id appendmem.MsgID) []appendmem.MsgID {
-	slot := int(id) + 1 - d.off
-	if slot < 0 || slot >= len(of) {
+// Children returns the blocks that list id among their parents (None for
+// genesis children, or the anchor block after a Compact), in arrival
+// order. Nil for ids outside the live index — below the anchor (None too,
+// once compacted) or beyond the view. It scans the live index, O(view).
+func (d *Dag) Children(id appendmem.MsgID) []appendmem.MsgID {
+	if id < appendmem.None || int(id) >= d.built || int(id)+1 < d.off {
 		return nil
 	}
-	return of[slot]
-}
-
-// Children returns the blocks that list id among their parents (None for
-// genesis children), in arrival order.
-func (d *Dag) Children(id appendmem.MsgID) []appendmem.MsgID {
-	return append([]appendmem.MsgID(nil), d.kids(d.children, id)...)
+	var kids []appendmem.MsgID
+	for c := max(appendmem.MsgID(d.off), id+1); int(c) < d.built; c++ {
+		if !d.inDag[int(c)-d.off] {
+			continue
+		}
+		ps := d.parentsOf(c)
+		if slices.Contains(ps, id) || (id == appendmem.None && len(ps) == 0) {
+			kids = append(kids, c)
+		}
+	}
+	return kids
 }
 
 // GhostPivot returns the pivot chain chosen by the GHOST rule: from the
@@ -575,73 +601,116 @@ func (d *Dag) IsAncestor(a, b appendmem.MsgID) bool {
 // order. Blocks outside the pivot tip's past cone are not ordered (they
 // will be, once a later pivot block references them).
 func (d *Dag) Linearize(pivot []appendmem.MsgID) []appendmem.MsgID {
-	return d.linearize(nil, pivot, math.MaxInt)
+	return d.AppendLinearize(nil, pivot, math.MaxInt)
 }
 
-// linearize appends the first limit blocks of Linearize(pivot) to dst. It
-// stops after the first epoch that reaches the limit: an epoch is sorted
-// as a whole, so the order up to its end is final whatever later pivot
-// blocks add.
-func (d *Dag) linearize(dst, pivot []appendmem.MsgID, limit int) []appendmem.MsgID {
-	start := len(dst)
-	d.orderedEpoch++
-	oe := d.orderedEpoch
-	for _, pb := range pivot {
-		if len(dst)-start >= limit {
-			break
+// AppendLinearize appends the first limit blocks of Linearize(pivot) to
+// dst and returns the extended slice — the prefix-bounded ordering. It
+// orders only the epochs the memo (see the package doc) does not already
+// hold for pivot's prefix, stopping after the first epoch that reaches
+// the limit: an epoch is sorted as a whole, so the order up to its end is
+// final whatever later pivot blocks add. It allocates nothing when dst
+// has room and the memo's buffers have grown to the ordering's size.
+func (d *Dag) AppendLinearize(dst, pivot []appendmem.MsgID, limit int) []appendmem.MsgID {
+	return append(dst, d.order(pivot, limit)...)
+}
+
+// order returns the first limit blocks of Linearize(pivot) as a slice of
+// the memo, valid until the next ordering call, Compact or reset.
+func (d *Dag) order(pivot []appendmem.MsgID, limit int) []appendmem.MsgID {
+	if limit <= 0 {
+		return nil
+	}
+	// Reuse the memo's epochs up to the first pivot block that differs.
+	n := 0
+	for n < len(pivot) && n < len(d.memoPivot) && pivot[n] == d.memoPivot[n] {
+		if d.memoEnds[n] >= limit {
+			return d.memoOrder[:limit]
 		}
-		// Epoch members: ancestors of pb not ordered by earlier pivot
-		// blocks. The DFS stops at already-ordered blocks, so each block
-		// is visited once across the whole linearization (amortized
-		// O(V+E) instead of one full past-cone walk per pivot block).
-		// Frozen parents (below the watermark) are by construction inside
-		// the anchor's past cone, i.e. ordered by the frozen prefix, so the
-		// DFS treats them exactly like earlier-epoch blocks and stops.
-		d.visitEpoch++
-		ve := d.visitEpoch
-		d.visited[int(pb)-d.off] = ve
-		epoch := d.epochBuf[:0]
-		stack := d.dfsStack[:0]
-		for _, p := range d.parentsOf(pb) {
-			if p != appendmem.None && int(p) >= d.off && d.ordered[int(p)-d.off] != oe && d.visited[int(p)-d.off] != ve {
-				d.visited[int(p)-d.off] = ve
+		n++
+	}
+	if n == len(pivot) { // pivot is a prefix of the memo's
+		if n == 0 {
+			return nil
+		}
+		return d.memoOrder[:d.memoEnds[n-1]]
+	}
+	d.truncateMemo(n)
+	for ; n < len(pivot) && len(d.memoOrder) < limit; n++ {
+		d.orderEpoch(pivot[n])
+	}
+	return d.memoOrder[:min(limit, len(d.memoOrder))]
+}
+
+// truncateMemo keeps the first n epochs of the memo, unmarking the blocks
+// the dropped ones ordered.
+func (d *Dag) truncateMemo(n int) {
+	if n >= len(d.memoPivot) {
+		return
+	}
+	end := 0
+	if n > 0 {
+		end = d.memoEnds[n-1]
+	}
+	for _, id := range d.memoOrder[end:] {
+		// A block listed twice (a malformed pivot may repeat an ordered
+		// block) keeps the mark of its first, possibly surviving, epoch.
+		if int(d.epochOf[int(id)-d.off]) > n {
+			d.epochOf[int(id)-d.off] = 0
+		}
+	}
+	d.memoPivot, d.memoEnds = d.memoPivot[:n], d.memoEnds[:n]
+	d.memoOrder, d.memoVals = d.memoOrder[:end], d.memoVals[:end]
+}
+
+// orderEpoch appends the epoch of pivot block pb, the next one after the
+// memo's: the ancestors of pb no earlier epoch ordered, sorted, then pb.
+// The DFS stops at already-ordered blocks, so each block is visited once
+// across the whole ordering (amortized O(V+E) instead of one full
+// past-cone walk per pivot block). Frozen parents (below the watermark)
+// are by construction inside the anchor's past cone, i.e. ordered by the
+// frozen prefix, so the DFS treats them exactly like earlier-epoch blocks
+// and stops.
+func (d *Dag) orderEpoch(pb appendmem.MsgID) {
+	pos := int32(len(d.memoPivot)) + 1
+	if d.epochOf[int(pb)-d.off] == 0 {
+		d.epochOf[int(pb)-d.off] = pos
+	}
+	start := len(d.memoOrder)
+	stack := append(d.dfsStack[:0], pb)
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if cur != pb {
+			d.memoOrder = append(d.memoOrder, cur)
+		}
+		for _, p := range d.parentsOf(cur) {
+			if p != appendmem.None && int(p) >= d.off && d.epochOf[int(p)-d.off] == 0 {
+				d.epochOf[int(p)-d.off] = pos
 				stack = append(stack, p)
 			}
 		}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			epoch = append(epoch, cur)
-			for _, p := range d.parentsOf(cur) {
-				if p != appendmem.None && int(p) >= d.off && d.ordered[int(p)-d.off] != oe && d.visited[int(p)-d.off] != ve {
-					d.visited[int(p)-d.off] = ve
-					stack = append(stack, p)
-				}
-			}
-		}
-		d.dfsStack = stack
-		// (depth, author, seq) is unique per block, so any sort yields the
-		// same order.
-		slices.SortFunc(epoch, func(a, b appendmem.MsgID) int {
-			if c := cmp.Compare(d.depth[int(a)-d.off], d.depth[int(b)-d.off]); c != 0 {
-				return c
-			}
-			// authorSeq packs (author, seq) so one compare is the
-			// lexicographic tie-break.
-			return cmp.Compare(d.authorSeqOf(a), d.authorSeqOf(b))
-		})
-		for _, id := range epoch {
-			d.ordered[int(id)-d.off] = oe
-			dst = append(dst, id)
-		}
-		d.epochBuf = epoch[:0]
-		d.ordered[int(pb)-d.off] = oe
-		dst = append(dst, pb)
 	}
-	if len(dst)-start > limit {
-		dst = dst[:start+limit]
+	d.dfsStack = stack
+	slices.SortFunc(d.memoOrder[start:], d.before)
+	d.memoOrder = append(d.memoOrder, pb)
+	for _, id := range d.memoOrder[start:] {
+		d.memoVals = append(d.memoVals, d.valueOf(id))
 	}
-	return dst
+	d.memoPivot = append(d.memoPivot, pb)
+	d.memoEnds = append(d.memoEnds, len(d.memoOrder))
+}
+
+// before is the order within an epoch: by depth, then author, then seq.
+// (depth, author, seq) is unique per block, so any sort yields the same
+// order.
+func (d *Dag) before(a, b appendmem.MsgID) int {
+	if c := cmp.Compare(d.depth[int(a)-d.off], d.depth[int(b)-d.off]); c != 0 {
+		return c
+	}
+	// authorSeq packs (author, seq) so one compare is the lexicographic
+	// tie-break.
+	return cmp.Compare(d.authorSeqOf(a), d.authorSeqOf(b))
 }
 
 // OrderedValues returns the values of the first k blocks in the
@@ -655,19 +724,14 @@ func (d *Dag) OrderedValues(pivot []appendmem.MsgID, k int) []int64 {
 }
 
 // AppendOrderedValues appends OrderedValues(pivot, k) to dst and returns
-// the extended slice. The linearization stops once k values are covered
-// and reuses a buffer owned by the Dag, so the call allocates nothing
-// when dst has room.
+// the extended slice. It reads the prefix-bounded ordering (see
+// AppendLinearize), so the call allocates nothing when dst has room.
 func (d *Dag) AppendOrderedValues(dst []int64, pivot []appendmem.MsgID, k int) []int64 {
 	if k <= len(d.frozenVals) {
 		return append(dst, d.frozenVals[:k]...)
 	}
-	d.orderBuf = d.linearize(d.orderBuf[:0], pivot, k-len(d.frozenVals))
-	dst = append(dst, d.frozenVals...)
-	for _, id := range d.orderBuf {
-		dst = append(dst, d.valueOf(id))
-	}
-	return dst
+	n := len(d.order(pivot, k-len(d.frozenVals)))
+	return append(append(dst, d.frozenVals...), d.memoVals[:n]...)
 }
 
 // Watermark returns the compaction watermark: the first id still held
@@ -721,7 +785,7 @@ func (d *Dag) Compact(reqW int) int {
 	}
 	// Candidate: deepest ghost-pivot block with id < limit. The pivot path
 	// from the old anchor to the candidate is recorded for the freeze step
-	// (a fresh slice: Linearize reuses the shared scratch buffers).
+	// (a fresh slice: the ordering memo keeps its own pivot buffer).
 	var seg []appendmem.MsgID
 	cand := appendmem.None
 	slot := 0
@@ -757,9 +821,9 @@ func (d *Dag) Compact(reqW int) int {
 	// cone — otherwise the cone walk skipping frozen parents would miss
 	// blocks the full linearization orders. Blocks below the old watermark
 	// satisfied (b) at their own retirement, so the walk prunes there.
-	d.orderedEpoch++
-	oe := d.orderedEpoch
-	d.ordered[int(cand)-d.off] = oe
+	d.visitEpoch++
+	e = d.visitEpoch
+	d.visited[int(cand)-d.off] = e
 	stack := append(d.dfsStack[:0], cand)
 	covered := 1
 	for len(stack) > 0 {
@@ -769,8 +833,8 @@ func (d *Dag) Compact(reqW int) int {
 			if p == appendmem.None || int(p) < d.off {
 				continue
 			}
-			if d.ordered[int(p)-d.off] != oe {
-				d.ordered[int(p)-d.off] = oe
+			if d.visited[int(p)-d.off] != e {
+				d.visited[int(p)-d.off] = e
 				covered++
 				stack = append(stack, p)
 			}
@@ -786,17 +850,17 @@ func (d *Dag) Compact(reqW int) int {
 	if covered != live {
 		return d.off
 	}
-	// Freeze: linearize the pivot segment ending at the candidate. By (b)
+	// Freeze: order the pivot segment ending at the candidate. By (b)
 	// this orders exactly the live blocks at or below it, extending
 	// frozenVals by the same values the full index's linearization holds
-	// at those positions.
-	order := d.Linearize(seg)
-	if len(order) != live {
-		panic(fmt.Sprintf("dag: Compact froze %d blocks, expected %d", len(order), live))
+	// at those positions. The segment is the head of the live GHOST pivot,
+	// so a memo of that pivot already holds its epochs. The memo then goes:
+	// its ids are about to be rebased and its head frozen.
+	if n := len(d.order(seg, math.MaxInt)); n != live {
+		panic(fmt.Sprintf("dag: Compact froze %d blocks, expected %d", n, live))
 	}
-	for _, id := range order {
-		d.frozenVals = append(d.frozenVals, d.value[int(id)-d.off])
-	}
+	d.frozenVals = append(d.frozenVals, d.memoVals[:live]...)
+	d.truncateMemo(0)
 	d.anchorTreeDepth = d.treeDepth[int(cand)-d.off]
 
 	// Rebase all dense slices in place: live data shifts down by
@@ -812,9 +876,7 @@ func (d *Dag) Compact(reqW int) int {
 	d.value = d.value[:copy(d.value, d.value[shift:])]
 	d.authorSeq = d.authorSeq[:copy(d.authorSeq, d.authorSeq[shift:])]
 	d.visited = d.visited[:copy(d.visited, d.visited[shift:])]
-	d.ordered = d.ordered[:copy(d.ordered, d.ordered[shift:])]
-	d.children = d.children[:copy(d.children, d.children[shift:])]
-	d.treeKids = d.treeKids[:copy(d.treeKids, d.treeKids[shift:])]
+	d.epochOf = d.epochOf[:copy(d.epochOf, d.epochOf[shift:])]
 	d.ghostBest = d.ghostBest[:copy(d.ghostBest, d.ghostBest[shift:])]
 	d.off = newOff
 	return d.off
@@ -826,12 +888,16 @@ func (d *Dag) Compact(reqW int) int {
 // extends the held index by the view's new suffix instead of rebuilding;
 // when handed a view of a different memory or an older prefix (e.g. an
 // asynchronous node's stale append view) it falls back to a from-scratch
-// Build, so it is always correct and only *fast* in the monotone case.
+// rebuild, in place, so it is always correct and only *fast* in the
+// monotone case.
 //
 // The zero value is not ready; use NewCached. A Cached must not be shared
 // across goroutines.
 type Cached struct {
 	d *Dag
+	// live reports that d indexes this consumer's reads: false before the
+	// first At and after Reset, which keeps d only for its capacity.
+	live bool
 }
 
 // NewCached returns an empty handle; the first At builds the index.
@@ -842,26 +908,44 @@ func NewCached() *Cached { return &Cached{} }
 // owned by the handle and is invalidated (re-pointed at a larger view) by
 // the next At call.
 func (c *Cached) At(view appendmem.View) *Dag {
-	if c.d != nil && c.d.view.SubsetOf(view) {
+	switch {
+	case c.live && c.d.view.SubsetOf(view):
 		c.d.Extend(view)
-		return c.d
+	case c.d != nil:
+		c.d.reset(view)
+	default:
+		c.d = Build(view)
 	}
-	c.d = Build(view)
+	c.live = true
 	return c.d
 }
+
+// Reset empties the handle for another consumer, as if freshly made by
+// NewCached, but keeps the held index's storage: the next At rebuilds in
+// place. It drops the index's reference to the memory it read.
+func (c *Cached) Reset() {
+	if c.d != nil {
+		c.d.reset(appendmem.View{})
+	}
+	c.live = false
+}
+
+// Live reports whether the handle holds an index: At was called since it
+// was made or last Reset.
+func (c *Cached) Live() bool { return c.live }
 
 // Extends reports whether At(view) extends the held index instead of
 // rebuilding it: before the first At, or when the held index's view is a
 // prefix of view.
 func (c *Cached) Extends(view appendmem.View) bool {
-	return c.d == nil || c.d.view.SubsetOf(view)
+	return !c.live || c.d.view.SubsetOf(view)
 }
 
 // Floor returns the smallest id the handle's future extensions or appends
 // can reach: the minimum of the built prefix (extensions read from there)
 // and the tip floor (parents draw from the tips). 0 before the first At.
 func (c *Cached) Floor() int {
-	if c.d == nil {
+	if !c.live {
 		return 0
 	}
 	f := c.d.built
@@ -874,7 +958,7 @@ func (c *Cached) Floor() int {
 // CompactTo forwards Compact(reqW) to the held index and returns the
 // watermark achieved; 0 when no index exists yet.
 func (c *Cached) CompactTo(reqW int) int {
-	if c.d == nil {
+	if !c.live {
 		return 0
 	}
 	return c.d.Compact(reqW)
