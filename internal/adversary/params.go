@@ -16,8 +16,8 @@ import (
 // says which names are settable and within which ranges.
 type Params struct {
 	// Withhold delays each produced block: the parents are chosen at grant
-	// time but the append lands Withhold·Δ later (0 = publish immediately,
-	// the legacy behaviour). Shared by both templates.
+	// time but the append lands Withhold·Δ later (0 = publish
+	// immediately). Shared by both templates.
 	Withhold float64
 
 	// Chain template (ChainAttack).

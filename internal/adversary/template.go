@@ -1,3 +1,44 @@
+// Package adversary implements the Byzantine strategies the paper's
+// Section 5 analyses use to derive the resilience bounds, as presets of two
+// parameterized templates (ChainAttack, DagAttack):
+//
+//   - Fork (Theorem 5.3): against deterministic tie-breaking, every
+//     Byzantine append forks the chain by appending a sibling of the
+//     deepest correct block; with worst-case (adversarial) tie-breaking
+//     the fork wins and the correct block is orphaned, so the longest
+//     chain carries a Byzantine fraction of t/(n−t) — a majority as soon
+//     as t ≥ n/3.
+//   - TieBreak (Theorem 5.4): against randomized tie-breaking, the
+//     adversary "plays the role of a tie-breaker among the concurrent
+//     correct appends": reading the memory fresh (no staleness handicap),
+//     it immediately extends the first correct append of the current Δ
+//     interval, prolonging the chain so that the remaining correct appends
+//     of the interval — made against an outdated state — are wasted.
+//   - PrivateChain (Lemma 5.5): on the DAG, the adversary cannot orphan
+//     correct values (they are included inclusively), but it can append
+//     private chains on top of the pivot during intervals in which no
+//     correct node appends, inserting runs of Θ(λ log n) Byzantine values
+//     into the first k positions of the decision ordering.
+//   - LastMinute is Lemma 5.5's literal strategy: stay silent while the
+//     correct nodes fill the ordering and extend the pivot with private
+//     chains only "in the last interval just before the decision".
+//   - PrivateFork is the classic GHOST-motivating attack (Sompolinsky &
+//     Zohar [22], the paper's DAG tie-breaking reference): one private
+//     chain from the genesis that never references an honest block. Honest
+//     staleness forks dilute the longest selected-parent chain, so at high
+//     rates the compact private chain can hijack a longest-chain pivot,
+//     while GHOST, which weighs whole subtrees, keeps to the honest side.
+//   - Equivocate keeps forks alive by alternately forking and extending
+//     the first longest tip; the chain protocols must still terminate.
+//
+// All strategies exploit exactly the powers the model grants Byzantine
+// nodes: free fresh reads at any instant, free choice of referenced state,
+// and the same Poisson access rationing as everyone else. The templates
+// generalize them along the axes a search harness wants to explore — fork
+// schedule, fork target, equivocation fan-out, private-chain segment
+// length, activation margin, release delay. Like the strategies, they draw
+// no randomness of their own: a template run is a pure function of
+// (Params, seed).
 package adversary
 
 import (
@@ -10,27 +51,25 @@ import (
 	"repro/internal/sim"
 )
 
-// This file holds the two parameterized attack templates the named chain
-// and DAG attacks are presets of. Each template generalizes the hand-coded
-// strategies of adversary.go along the axes a search harness wants to
-// explore — fork schedule, fork target, equivocation fan-out, private-chain
-// segment length, activation margin, release delay — while reproducing the
-// legacy adversaries byte-for-byte at the preset parameter values (the
-// differential tests in template_test.go pin this). Like the hand-coded
-// strategies, the templates draw no randomness of their own: a template run
-// is a pure function of (Params, seed).
+// The named attacks' preset points: each is the Params value the scenario
+// registry binds for the attack of the same name, and the committed golden
+// in testdata/presets_golden.txt pins what each produces.
+var (
+	Fork         = Params{ForkCount: 1, ForkPeriod: 1, Target: TargetCorrect, Fanout: 1}
+	TieBreak     = Params{ForkCount: 0, ForkPeriod: 1, Target: TargetCorrect, Fanout: 1}
+	Equivocate   = Params{ForkCount: 1, ForkPeriod: 2, ForkLonely: true, Target: TargetFirst, Fanout: 1}
+	PrivateChain = Params{Root: RootPivot, Segment: 1, Fanout: 1}
+	LastMinute   = Params{Root: RootPivot, Segment: 1, StartWithin: 6, Fanout: 1}
+	PrivateFork  = Params{Root: RootGenesis, Segment: 0, Fanout: 1}
+)
 
 // ChainAttack is the parameterized chain-substrate template. Per grant it
 // reads the memory fresh and either *forks* (appends a sibling of a longest
 // tip, per Target) or *extends* (appends a child of a longest tip), driven
 // by a cyclic schedule: grant i forks iff i mod ForkPeriod < ForkCount,
 // plus the ForkLonely override that forks whenever only one longest tip
-// exists (keeping ties alive). Presets:
-//
-//	fork       = {ForkCount:1, ForkPeriod:1, Target:correct}   → ChainForker (Theorem 5.3)
-//	tiebreak   = {ForkCount:0, ForkPeriod:1}                   → ChainTieBreaker (Theorem 5.4)
-//	equivocate = {ForkCount:1, ForkPeriod:2, ForkLonely:true,
-//	              Target:first}                                → Equivocator
+// exists (keeping ties alive). Its presets are Fork, TieBreak and
+// Equivocate.
 type ChainAttack struct {
 	P     Params
 	env   *agreement.Env
@@ -112,11 +151,7 @@ func (a *ChainAttack) publish(node appendmem.NodeID, parents []appendmem.MsgID) 
 // re-roots after every Segment blocks (0 = root once, never again).
 // StartWithin > 0 wastes every grant until the pivot ordering is within
 // that many values of the decision threshold k — the "last minute" gate.
-// Presets:
-//
-//	private-chain = {Root:pivot, Segment:1}                   → DagChainExtender (Lemma 5.5)
-//	last-minute   = {Root:pivot, Segment:1, StartWithin:m}    → DagLastMinute (margin m)
-//	private-fork  = {Root:genesis, Segment:0}                 → DagPrivateFork
+// Its presets are PrivateChain, LastMinute and PrivateFork.
 type DagAttack struct {
 	P Params
 	// Pivot must match the honest pivot rule when Root or StartWithin use it.
@@ -153,8 +188,8 @@ func (a *DagAttack) Init(env *agreement.Env) {
 func (a *DagAttack) OnGrant(g access.Grant) {
 	step := a.grant
 	a.grant++
-	// The fresh view is only consulted when a parameter needs it, matching
-	// the legacy private-fork strategy, which never reads at all.
+	// The fresh view is only consulted when a parameter needs it: the
+	// private-fork preset never reads at all.
 	var pivot []appendmem.MsgID
 	if a.P.Root == RootPivot || a.P.StartWithin > 0 {
 		d := a.idx.At(a.env.Mem.Read())

@@ -88,7 +88,7 @@ func TestDeterministicTieBreakThreshold(t *testing.T) {
 		for seed := uint64(0); seed < 20; seed++ {
 			r := agreement.MustRun(agreement.RandomizedConfig{
 				N: n, T: tt, Lambda: lam, K: 41, Seed: seed,
-			}, Rule{TB: advTB(n, tt)}, &adversary.ChainForker{})
+			}, Rule{TB: advTB(n, tt)}, &adversary.ChainAttack{P: adversary.Fork})
 			if !r.Verdict.Validity {
 				fails++
 			}
@@ -113,7 +113,7 @@ func TestRandomizedTieBreakLambdaDependence(t *testing.T) {
 		for seed := uint64(0); seed < 20; seed++ {
 			r := agreement.MustRun(agreement.RandomizedConfig{
 				N: 10, T: 4, Lambda: lam, K: 21, Seed: seed,
-			}, Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainTieBreaker{})
+			}, Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainAttack{P: adversary.TieBreak})
 			if !r.Verdict.Validity {
 				fails++
 			}
@@ -139,7 +139,7 @@ func TestRandomizedBeatsAdversarialTies(t *testing.T) {
 		for seed := uint64(0); seed < 10; seed++ {
 			r := agreement.MustRun(agreement.RandomizedConfig{
 				N: 9, T: 4, Lambda: 0.5, K: 41, Seed: seed,
-			}, Rule{TB: tb}, &adversary.ChainForker{})
+			}, Rule{TB: tb}, &adversary.ChainAttack{P: adversary.Fork})
 			tree := chain.Build(r.FinalView)
 			tips := tree.LongestTips()
 			if len(tips) == 0 {
@@ -167,7 +167,7 @@ func TestEquivocatorDoesNotBlockTermination(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		r := agreement.MustRun(agreement.RandomizedConfig{
 			N: 8, T: 2, Lambda: 0.3, K: 15, Seed: seed,
-		}, Rule{TB: chain.RandomTieBreaker{}}, &adversary.Equivocator{})
+		}, Rule{TB: chain.RandomTieBreaker{}}, &adversary.ChainAttack{P: adversary.Equivocate})
 		if !r.Verdict.Termination {
 			t.Fatalf("seed %d: equivocation blocked termination", seed)
 		}

@@ -22,12 +22,12 @@ import (
 // mark included.
 func TestDifferentialRecycledSlot(t *testing.T) {
 	const n, byz = 7, 2
-	privateChain := adversary.Params{Root: adversary.RootPivot, Segment: 1, Fanout: 1}
-	fork := adversary.Params{ForkCount: 1, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1}
 	dagAttack := func(p dagba.PivotRule) func(agreement.HonestRule) agreement.Adversary {
-		return func(agreement.HonestRule) agreement.Adversary { return &adversary.DagAttack{P: privateChain, Pivot: p} }
+		return func(agreement.HonestRule) agreement.Adversary {
+			return &adversary.DagAttack{P: adversary.PrivateChain, Pivot: p}
+		}
 	}
-	chainAttack := func(agreement.HonestRule) agreement.Adversary { return &adversary.ChainAttack{P: fork} }
+	chainAttack := func(agreement.HonestRule) agreement.Adversary { return &adversary.ChainAttack{P: adversary.Fork} }
 	flip := func(r agreement.HonestRule) agreement.Adversary { return &agreement.ValueFlip{Rule: r} }
 	specs := []struct {
 		name string

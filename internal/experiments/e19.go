@@ -20,8 +20,8 @@ import (
 // steady-state rates (Theorems 5.3/5.4) or by bursts already in place
 // (Lemma 5.5); deciding later re-reads the same poisoned prefix. And
 // conversely, the surgical "burst just before the decision" adversary
-// (DagLastMinute) defeats itself: staying silent early makes the prefix
-// overwhelmingly honest, so the late burst cannot flip a k-majority —
+// (the last-minute preset) defeats itself: staying silent early makes the
+// prefix overwhelmingly honest, so the late burst cannot flip a k-majority —
 // which is why the effective form of Lemma 5.5's attack is the continuous
 // one, and why its damage is bounded by Θ(λ log n) extra values rather
 // than a takeover.

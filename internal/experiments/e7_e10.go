@@ -50,7 +50,7 @@ func maxByzGapBurst(seed uint64, n, t int, lambda float64, grants int) int {
 // correct-silent interval of the token stream — across n, and fits
 // a + b·log n. Table (b) confirms the mechanism end-to-end: the longest
 // consecutive Byzantine run inside the first k ordered values of actual
-// DAG executions under the DagChainExtender.
+// DAG executions under the private-chain preset.
 func RunE7(o Options) []*Table {
 	trials := o.trials(100)
 	ns := []int{8, 16, 32, 64, 128, 256}

@@ -88,7 +88,7 @@ func TestDifferentialChain(t *testing.T) {
 		want := agreement.MustRun(
 			agreement.RandomizedConfig{N: 6, T: 2, Lambda: 0.5, K: 11, Seed: seed},
 			chainba.Rule{TB: chain.RandomTieBreaker{}},
-			&adversary.ChainTieBreaker{})
+			&adversary.ChainAttack{P: adversary.TieBreak})
 		assertSameRandomized(t, seed, got, want)
 	}
 }
@@ -110,7 +110,7 @@ func TestDifferentialDag(t *testing.T) {
 				Crashes: 1, Inputs: node.SplitInputs(6, 2),
 			},
 			dagba.Rule{Pivot: dagba.Longest},
-			&adversary.DagChainExtender{Pivot: dagba.Longest})
+			&adversary.DagAttack{P: adversary.PrivateChain, Pivot: dagba.Longest})
 		assertSameRandomized(t, seed, got, want)
 	}
 }

@@ -259,8 +259,7 @@ func chainTemplate(name Attack) func(*Spec, agreement.HonestRule) (func() agreem
 }
 
 // dagTemplate builds the New constructor of a DagAttack preset. The
-// template's pivot rule follows the spec's (honest) pivot choice, like
-// the legacy strategies did.
+// template's pivot rule follows the spec's (honest) pivot choice.
 func dagTemplate(name Attack) func(*Spec, agreement.HonestRule) (func() agreement.Adversary, error) {
 	return func(s *Spec, _ agreement.HonestRule) (func() agreement.Adversary, error) {
 		def, _ := Attacks.Lookup(string(name))
@@ -407,10 +406,10 @@ func init() {
 			},
 		})
 	// The chain and DAG attacks are presets of the two parameterized
-	// templates (adversary.ChainAttack / adversary.DagAttack): each preset
-	// pins the Params point that reproduces the original hand-coded
-	// strategy byte-for-byte (differential tests in internal/adversary),
-	// and attack_params / attack:<param> sweeps move off the preset.
+	// templates (adversary.ChainAttack / adversary.DagAttack): each binds
+	// the adversary package's Params value of the same name (pinned by
+	// its golden), and attack_params / attack:<param> sweeps move off the
+	// preset.
 	chainSchema := adversary.ChainSchema()
 	dagSchema := adversary.DagSchema()
 	Attacks.Register(string(AttackFork),
@@ -418,7 +417,7 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Chain},
 			Schema:    chainSchema,
-			Preset:    adversary.Params{ForkCount: 1, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1},
+			Preset:    adversary.Fork,
 			New:       chainTemplate(AttackFork),
 		})
 	Attacks.Register(string(AttackTieBreak),
@@ -426,7 +425,7 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Chain},
 			Schema:    chainSchema,
-			Preset:    adversary.Params{ForkCount: 0, ForkPeriod: 1, Target: adversary.TargetCorrect, Fanout: 1},
+			Preset:    adversary.TieBreak,
 			New:       chainTemplate(AttackTieBreak),
 		})
 	Attacks.Register(string(AttackEquivocate),
@@ -434,7 +433,7 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Chain},
 			Schema:    chainSchema,
-			Preset:    adversary.Params{ForkCount: 1, ForkPeriod: 2, ForkLonely: true, Target: adversary.TargetFirst, Fanout: 1},
+			Preset:    adversary.Equivocate,
 			New:       chainTemplate(AttackEquivocate),
 		})
 	Attacks.Register(string(AttackPrivateChain),
@@ -442,15 +441,15 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Dag},
 			Schema:    dagSchema,
-			Preset:    adversary.Params{Root: adversary.RootPivot, Segment: 1, Fanout: 1},
+			Preset:    adversary.PrivateChain,
 			New:       dagTemplate(AttackPrivateChain),
 		})
 	Attacks.Register(string(AttackLastMinute),
-		"Lemma 5.5's literal strategy: stay silent, burst within `margin` of the decision (dag only)",
+		"Lemma 5.5's literal strategy: stay silent, burst within `start_within` of the decision (dag only)",
 		AttackDef{
 			Protocols: []Protocol{Dag},
 			Schema:    dagSchema,
-			Preset:    adversary.Params{Root: adversary.RootPivot, Segment: 1, StartWithin: 6, Fanout: 1},
+			Preset:    adversary.LastMinute,
 			New:       dagTemplate(AttackLastMinute),
 		})
 	Attacks.Register(string(AttackPrivateFork),
@@ -458,7 +457,7 @@ func init() {
 		AttackDef{
 			Protocols: []Protocol{Dag},
 			Schema:    dagSchema,
-			Preset:    adversary.Params{Root: adversary.RootGenesis, Segment: 0, Fanout: 1},
+			Preset:    adversary.PrivateFork,
 			New:       dagTemplate(AttackPrivateFork),
 		})
 	Attacks.Register(string(AttackDelayedChain),
