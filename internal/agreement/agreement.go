@@ -217,44 +217,39 @@ type HonestRule interface {
 	Decide(view appendmem.View, k int, rng *xrand.PCG) (int64, bool)
 }
 
-// PerTrialState is optionally implemented by HonestRules whose correct
-// nodes can share one substrate index per trial. When every correct node
-// reads the whole memory (mem.Read(), every timing model except topology
-// visibility), the views the nodes decide on form one monotone stream, so
-// a single index extended by all of them answers every node. RunRandomized
-// calls NewTrialRule once per such trial and splits the result per node
-// through PerNodeState; with topology visibility (per-node arrival
-// prefixes) it skips this step. The trial rule must implement
-// PerNodeState, and its node rules must decide and append exactly like
-// the original. When it implements WindowedRule, its floor bounds the
-// shared state and windowed retirement compacts that state once.
-type PerTrialState interface {
-	NewTrialRule() HonestRule
-}
-
 // PerNodeState is optionally implemented by HonestRules that keep per-node
 // incremental state: the memoized parents of the node's next append and
-// the indexes its own views need beside a trial-shared one (see
-// PerTrialState). RunRandomized calls NewNodeRule once per correct node
-// and drives that node exclusively through the returned instance; a rule
-// without it is shared, stateless, across all nodes. The returned rule
-// must decide and append exactly like the original: per-node state is a
-// performance vehicle, never a behavioural one.
+// the indexes its own views need. RunRandomized calls NewNodeRule once per
+// correct node of a rule that is no Recycler, and drives that node
+// exclusively through the returned instance; a rule with neither is
+// shared, stateless, across all nodes. The returned rule must decide and
+// append exactly like the original: per-node state is a performance
+// vehicle, never a behavioural one.
 type PerNodeState interface {
 	NewNodeRule() HonestRule
 }
 
-// Recycler is optionally implemented, beside PerTrialState and
-// PerNodeState, by rules whose trial and node instances own storage worth
-// keeping across trials: indexes and their buffers. The harness pools its
-// trial slots, and a slot keeps the instances its last trial made. When
-// that trial ends the slot calls Release on each, which must drop every
-// reference into the trial and keep only capacity. The slot's next trial
-// then hands each released instance, as spare, to one NewTrialRuleFrom
-// (called where NewTrialRule would be) or NewNodeRuleFrom (where
-// NewNodeRule would be). These build the same instance as the plain
-// constructor, on spare's storage; a spare they cannot use (nil, another
-// kind's) is ignored. Spare is not used again either way.
+// Recycler is optionally implemented by HonestRules whose correct nodes
+// can share one substrate index per trial and whose instances own storage
+// worth keeping across trials: indexes and their buffers (see Split).
+// When every correct node reads the whole memory (mem.Read(), every timing
+// model except topology visibility), the views the nodes decide on form
+// one monotone stream, so a single index extended by all of them answers
+// every node. RunRandomized then makes one trial instance with
+// NewTrialRuleFrom and splits it per node with its NewNodeRuleFrom; with
+// topology visibility (per-node arrival prefixes) it skips the trial step
+// and splits the rule itself. Every instance must decide and append
+// exactly like the original. A trial instance that implements
+// WindowedRule bounds the shared state, and windowed retirement compacts
+// that state once.
+//
+// The harness pools its trial slots, and a slot keeps the instances its
+// last trial made. When that trial ends the slot calls Release on each,
+// which must drop every reference into the trial and keep only capacity.
+// The slot's next trial then hands each released instance, as spare, to
+// one NewTrialRuleFrom or NewNodeRuleFrom, which build the instance on
+// spare's storage; a spare they cannot use (nil, another kind's) is
+// ignored. Spare is not used again either way.
 //
 // A node's private decision index (no trial step: topology visibility)
 // is better made fresh per trial than recycled. The pool makes its slots

@@ -136,17 +136,6 @@ func (t *trial) release() {
 	}
 }
 
-// newTrialRule is pt's NewTrialRule, on the slot's spare when the rule
-// recycles.
-func (t *trial) newTrialRule(pt PerTrialState) HonestRule {
-	if rc, ok := pt.(Recycler); ok {
-		spare := t.spareTrial
-		t.spareTrial = nil
-		return rc.NewTrialRuleFrom(spare)
-	}
-	return pt.NewTrialRule()
-}
-
 // nodeRule is the package's nodeRule, on one of the slot's spares when
 // the rule recycles.
 func (t *trial) nodeRule(rule HonestRule) HonestRule {
@@ -225,7 +214,7 @@ func (t *trial) setup(cfg RandomizedConfig, rule HonestRule, adv Adversary) erro
 	// A correct node's views grow monotonically, so a rule with per-node
 	// state extends its indexes instead of rebuilding them; when every
 	// node reads the whole memory their views also form one stream, and a
-	// rule with per-trial state shares one index across all of them.
+	// Recycler shares one index across all of them.
 	t.views = memViews{t.mem}
 	trialRule, shared := rule, false
 	if cfg.Topology != nil {
@@ -235,9 +224,9 @@ func (t *trial) setup(cfg RandomizedConfig, rule HonestRule, adv Adversary) erro
 			t.vis.Reset(t.sim, rngVis, cfg.Topology, cfg.TopologyDelay, t.mem)
 		}
 		t.views = t.vis
-	} else if pt, ok := rule.(PerTrialState); ok {
-		trialRule, shared = t.newTrialRule(pt), true
-		t.trialRule = trialRule
+	} else if rc, ok := rule.(Recycler); ok {
+		trialRule, shared = rc.NewTrialRuleFrom(t.spareTrial), true
+		t.trialRule, t.spareTrial = trialRule, nil
 	}
 	t.rules = runner.Resize(t.rules, cfg.N)
 	for i := range t.rules {

@@ -17,7 +17,7 @@ import (
 )
 
 // WindowedRule is implemented by per-node rule instances (and trial rules,
-// see PerTrialState) that can bound and retire their reachable prefix.
+// see Recycler) that can bound and retire their reachable prefix.
 // ViewFloor returns the smallest id the holder's future appends can
 // reference and below which its indexes have ingested everything (min of
 // the cached indexes' built sizes and tip floors and of memoized append
@@ -65,7 +65,7 @@ func (a *ValueFlip) CompactTo(w int) {
 
 // bindWindow checks that every party that can still append exposes a
 // reachability floor — otherwise no retirement bound exists — and keeps
-// the floors for retire. The trial-shared state (see PerTrialState) has
+// the floors for retire. The trial-shared state (see Recycler) has
 // one when the rule shares it.
 func (t *trial) bindWindow(rule, trialRule HonestRule, shared bool) error {
 	if shared {

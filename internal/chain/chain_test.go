@@ -28,9 +28,6 @@ func TestEmptyView(t *testing.T) {
 	if tips := tr.LongestTips(); tips != nil {
 		t.Fatalf("tips = %v", tips)
 	}
-	if _, ok := SelectTip(m.Read(), FirstTieBreaker{}, nil); ok {
-		t.Fatal("SelectTip succeeded on empty view")
-	}
 }
 
 func TestLinearChain(t *testing.T) {
@@ -173,19 +170,6 @@ func TestPrefixValues(t *testing.T) {
 	all := tr.PrefixValues(tip, 100)
 	if len(all) != 6 {
 		t.Fatalf("over-long prefix = %d values", len(all))
-	}
-}
-
-func TestCommonPrefix(t *testing.T) {
-	m := appendmem.New(2)
-	root := m.Writer(0).MustAppend(0, 0, nil)
-	mid := m.Writer(0).MustAppend(1, 0, []appendmem.MsgID{root.ID})
-	a := m.Writer(0).MustAppend(2, 0, []appendmem.MsgID{mid.ID})
-	b := m.Writer(1).MustAppend(3, 0, []appendmem.MsgID{mid.ID})
-	tr := Build(m.Read())
-	prefix := tr.CommonPrefix(a.ID, b.ID)
-	if len(prefix) != 2 || prefix[0] != root.ID || prefix[1] != mid.ID {
-		t.Fatalf("common prefix = %v", prefix)
 	}
 }
 
