@@ -141,15 +141,15 @@ func SelectedParent(msg *appendmem.Message) appendmem.MsgID {
 // Build indexes the DAG of view from scratch.
 func Build(view appendmem.View) *Dag {
 	d := &Dag{}
-	d.reset(view)
+	d.Rebuild(view)
 	return d
 }
 
-// reset re-indexes the Dag from scratch over view, keeping the capacity
+// Rebuild re-indexes the Dag from scratch over view, keeping the capacity
 // of every slice: the result answers exactly like Build(view). The
 // compaction state, the structure caches and the ordering memo go too, so
 // a recycled windowed index starts unbounded again.
-func (d *Dag) reset(view appendmem.View) {
+func (d *Dag) Rebuild(view appendmem.View) {
 	n := view.Size()
 	clear(d.parents[:cap(d.parents)]) // drop the spans into old arena blocks
 	*d = Dag{
@@ -616,7 +616,7 @@ func (d *Dag) AppendLinearize(dst, pivot []appendmem.MsgID, limit int) []appendm
 }
 
 // order returns the first limit blocks of Linearize(pivot) as a slice of
-// the memo, valid until the next ordering call, Compact or reset.
+// the memo, valid until the next ordering call, Compact or Rebuild.
 func (d *Dag) order(pivot []appendmem.MsgID, limit int) []appendmem.MsgID {
 	if limit <= 0 {
 		return nil
@@ -882,84 +882,8 @@ func (d *Dag) Compact(reqW int) int {
 	return d.off
 }
 
-// Cached is a reusable index handle for one consumer whose reads of a
-// single memory grow monotonically (every View is a prefix of the next —
-// the append-memory invariant every protocol loop and analyzer obeys). At
-// extends the held index by the view's new suffix instead of rebuilding;
-// when handed a view of a different memory or an older prefix (e.g. an
-// asynchronous node's stale append view) it falls back to a from-scratch
-// rebuild, in place, so it is always correct and only *fast* in the
-// monotone case.
-//
-// The zero value is not ready; use NewCached. A Cached must not be shared
-// across goroutines.
-type Cached struct {
-	d *Dag
-	// live reports that d indexes this consumer's reads: false before the
-	// first At and after Reset, which keeps d only for its capacity.
-	live bool
-}
+// Cached is the reusable index handle (appendmem.Cached) over Dags.
+type Cached = appendmem.Cached[*Dag]
 
 // NewCached returns an empty handle; the first At builds the index.
-func NewCached() *Cached { return &Cached{} }
-
-// At returns the index of view, extending the previously returned index
-// when view is a forward read of the same memory. The returned Dag is
-// owned by the handle and is invalidated (re-pointed at a larger view) by
-// the next At call.
-func (c *Cached) At(view appendmem.View) *Dag {
-	switch {
-	case c.live && c.d.view.SubsetOf(view):
-		c.d.Extend(view)
-	case c.d != nil:
-		c.d.reset(view)
-	default:
-		c.d = Build(view)
-	}
-	c.live = true
-	return c.d
-}
-
-// Reset empties the handle for another consumer, as if freshly made by
-// NewCached, but keeps the held index's storage: the next At rebuilds in
-// place. It drops the index's reference to the memory it read.
-func (c *Cached) Reset() {
-	if c.d != nil {
-		c.d.reset(appendmem.View{})
-	}
-	c.live = false
-}
-
-// Live reports whether the handle holds an index: At was called since it
-// was made or last Reset.
-func (c *Cached) Live() bool { return c.live }
-
-// Extends reports whether At(view) extends the held index instead of
-// rebuilding it: before the first At, or when the held index's view is a
-// prefix of view.
-func (c *Cached) Extends(view appendmem.View) bool {
-	return !c.live || c.d.view.SubsetOf(view)
-}
-
-// Floor returns the smallest id the handle's future extensions or appends
-// can reach: the minimum of the built prefix (extensions read from there)
-// and the tip floor (parents draw from the tips). 0 before the first At.
-func (c *Cached) Floor() int {
-	if !c.live {
-		return 0
-	}
-	f := c.d.built
-	if tf := c.d.TipFloor(); tf >= 0 && int(tf) < f {
-		f = int(tf)
-	}
-	return f
-}
-
-// CompactTo forwards Compact(reqW) to the held index and returns the
-// watermark achieved; 0 when no index exists yet.
-func (c *Cached) CompactTo(reqW int) int {
-	if !c.live {
-		return 0
-	}
-	return c.d.Compact(reqW)
-}
+func NewCached() *Cached { return appendmem.NewCached(Build) }
