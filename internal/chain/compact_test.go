@@ -133,24 +133,34 @@ func TestDifferentialCompactVsFull(t *testing.T) {
 }
 
 // TestCompactMonotoneAndBounded: the watermark never regresses, never
-// exceeds the request, and queries below it panic.
+// exceeds the request, and queries below it panic. The requests are every
+// prefix's safe watermark in ascending order, so the history's fork-free
+// stretches must let the index retire a prefix; a history that never
+// does fails the test rather than passing vacuously.
 func TestCompactMonotoneAndBounded(t *testing.T) {
 	rng := xrand.New(3, 99)
-	m := chainHistory(rng, 60)
+	m := recentChainHistory(rng, 60)
 	safe := safeWatermarks(m)
 	tr := Build(m.Read())
-	w := tr.Compact(safe[m.Len()])
-	if w > safe[m.Len()] {
-		t.Fatalf("Compact overshot: %d > %d", w, safe[m.Len()])
+	w := 0
+	for i, req := range safe {
+		got := tr.Compact(req)
+		if got > req {
+			t.Fatalf("Compact(safe[%d]=%d) overshot: %d", i, req, got)
+		}
+		if got < w {
+			t.Fatalf("Compact(safe[%d]=%d) regressed the watermark: %d -> %d", i, req, w, got)
+		}
+		w = got
+	}
+	if w == 0 {
+		t.Fatal("history never allowed retirement; nothing to panic on")
 	}
 	if again := tr.Compact(w); again != w {
 		t.Fatalf("re-Compact moved the watermark: %d -> %d", w, again)
 	}
 	if down := tr.Compact(w - 5); down != w {
 		t.Fatalf("Compact regressed the watermark: %d -> %d", w, down)
-	}
-	if w == 0 {
-		t.Skip("history never allowed retirement; nothing to panic on")
 	}
 	defer func() {
 		if recover() == nil {

@@ -36,8 +36,9 @@ func e22Point(o Options, trials int, spec scenario.Spec) (runner.Ratio, float64)
 // The paper proves Theorem 5.4 (chain collapse) and Theorem 5.6 (DAG
 // resilience) under the uniform Δ-bounded oracle: every append is visible
 // everywhere within one Δ. This experiment swaps the oracle for generated
-// topologies with per-link gossip delays (the transport layer) and
-// re-runs both protocols under their signature attacks.
+// topologies over which every append floods hop by hop with per-link
+// delays (access.Visibility decides when each node sees it) and re-runs
+// both protocols under their signature attacks.
 //
 // Two findings. First, with links fast enough that flooding stays inside
 // the Δ the theorems assume, the separation survives every graph: the

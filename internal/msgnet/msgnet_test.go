@@ -1,6 +1,7 @@
 package msgnet
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/appendmem"
@@ -157,4 +158,65 @@ func TestSendOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	nw.Send(0, 5, "x", nil)
+}
+
+// TestOracleEqualTimestampDrainOrder pins the pending heap's contract:
+// deliveries due at the same time drain in scheduling order, the order the
+// simulator fires their events in. Drawn delays never tie, so the
+// deliveries are scheduled directly, the way Send does.
+func TestOracleEqualTimestampDrainOrder(t *testing.T) {
+	s, nw := newNet(3)
+	var order []string
+	for i := 0; i < 3; i++ {
+		i := i
+		nw.Register(appendmem.NodeID(i), func(e Envelope) {
+			order = append(order, fmt.Sprintf("%d<-%s", i, e.Body))
+		})
+	}
+	for _, d := range []struct {
+		to   appendmem.NodeID
+		body string
+	}{{2, "a"}, {1, "b"}, {0, "c"}} {
+		nw.dseq++
+		nw.push(delivery{at: 0.25, seq: nw.dseq, env: Envelope{From: 0, To: d.to, Kind: "k", Body: []byte(d.body)}})
+		s.After(0.25, nw.tick)
+	}
+	s.Run()
+	want := []string{"2<-a", "1<-b", "0<-c"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestBroadcastSteadyStateAllocs pins the delivery path's allocations:
+// once the pending heap and the simulator's event heap are warm, a
+// broadcast-and-drain cycle allocates nothing but the per-receiver body
+// copies Send makes.
+func TestBroadcastSteadyStateAllocs(t *testing.T) {
+	const n = 8
+	s, nw := newNet(n)
+	delivered := 0
+	for i := 0; i < n; i++ {
+		nw.Register(appendmem.NodeID(i), func(Envelope) { delivered++ })
+	}
+	for _, tc := range []struct {
+		body []byte
+		want float64
+	}{{nil, 0}, {[]byte{1}, n}} {
+		round := func() {
+			nw.Broadcast(0, "append", tc.body)
+			s.Run()
+		}
+		for i := 0; i < 50; i++ {
+			round()
+		}
+		delivered = 0
+		if got := testing.AllocsPerRun(100, round); got != tc.want {
+			t.Errorf("warm broadcast with a %d-byte body: %v allocs, want %v", len(tc.body), got, tc.want)
+		}
+		// AllocsPerRun invokes the function runs+1 times (one warm-up).
+		if delivered != 101*n {
+			t.Fatalf("delivered %d, want %d", delivered, 101*n)
+		}
+	}
 }

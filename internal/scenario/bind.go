@@ -67,7 +67,6 @@ type Bound struct {
 
 	topo      *topology.Graph     // nil on the complete (oracle) path
 	topoDelay topology.DelayModel // per-link delay model (topo != nil)
-	routes    *topology.Routes    // shared route plane over topo (topo != nil)
 }
 
 // Spec returns the spec the binding was resolved from.
@@ -76,12 +75,6 @@ func (b *Bound) Spec() Spec { return b.spec }
 // IsSync reports whether the scenario runs on the synchronous-round
 // harness.
 func (b *Bound) IsSync() bool { return b.sync }
-
-// Routes returns the binding's shared route plane — per-source
-// shortest-path trees over the bound topology, computed at most once per
-// graph and safe to share read-only across trials and workers. Nil when
-// the scenario runs on the complete (oracle) path.
-func (b *Bound) Routes() *topology.Routes { return b.routes }
 
 // parseInputs validates an input spec and returns its per-seed resolver.
 // The "random" form draws from a seed-derived stream (the same one the
@@ -286,10 +279,6 @@ func (b *Bound) bindTopology() error {
 		return fmt.Errorf("scenario: topology %q with n=%d is disconnected", name, b.spec.N)
 	}
 	b.topo = g
-	// One shared route plane per binding: transports and tools that
-	// source-route over this graph share its shortest-path trees across
-	// every trial and worker instead of recomputing them per trial.
-	b.routes = topology.NewRoutes(g)
 	return nil
 }
 

@@ -163,33 +163,3 @@ func TestTopologySweepWorkerInvariance(t *testing.T) {
 		t.Fatalf("sweep diverges across worker counts:\n%s\n%s", a, b)
 	}
 }
-
-func TestBindSharedRoutePlane(t *testing.T) {
-	// A topology binding carries one shared route plane over its graph,
-	// empty until someone routes; the oracle path carries none.
-	b, err := Bind(ringSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := b.Routes()
-	if r == nil {
-		t.Fatal("topology binding has no shared route plane")
-	}
-	if r.Graph() == nil || r.Graph().N() != 8 {
-		t.Fatalf("route plane bound to wrong graph: %+v", r.Graph())
-	}
-	if r.Computed() != 0 {
-		t.Fatalf("fresh binding precomputed %d planes, want lazy", r.Computed())
-	}
-
-	spec := ringSpec()
-	spec.Topology = TopoComplete
-	spec.TopologyParams = nil
-	cb, err := Bind(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cb.Routes() != nil {
-		t.Fatal("oracle binding carries a route plane")
-	}
-}

@@ -1,26 +1,26 @@
-// Package topology provides the network graphs the transport layer routes
-// over: deterministic, seed-driven generators for the standard families
-// (complete, ring lattice, grid, Watts–Strogatz small-world,
+// Package topology provides the network graphs the topology trials flood
+// appends over: deterministic, seed-driven generators for the standard
+// families (complete, ring lattice, grid, Watts–Strogatz small-world,
 // Barabási–Albert scale-free) plus an explicit latency-table loader, and
 // the per-link delay distributions (fixed, uniform, long-tail) that turn a
 // link's base latency into one sampled transmission delay.
 //
 // The paper's delivery assumption — every append reaches every node within
-// one uniform bound Δ — is the *complete* graph under an oracle transport.
+// one uniform bound Δ — is the *complete* graph under the Δ-bounded oracle.
 // Everything else in this package exists to relax that assumption the way
 // DAG-Sword (arXiv:2311.04638) and TangleSim (arXiv:2305.01232) do: large
-// sparse topologies, heterogeneous per-link latencies, and gossip relay,
+// sparse topologies, heterogeneous per-link latencies, and hop-by-hop relay,
 // so experiments can ask where the chain-vs-DAG separation bends when
 // propagation is non-uniform.
 //
 // Graphs are immutable after construction and value-typed inside: one CSR
 // adjacency (offsets/targets/latencies in three flat slices, both
 // directions materialized), no per-node maps or pointer chasing, so
-// neighbor iteration in the gossip hot loop is a contiguous scan and a
-// built Graph is safe to share read-only across concurrent trials. The
-// complete graph stays implicit (O(1) memory) — neighbor iteration
-// synthesizes the full fan-out, which keeps 10k+-node complete topologies
-// free of their O(n²) edge lists.
+// neighbor iteration in the visibility flood's hot loop is a contiguous
+// scan and a built Graph is safe to share read-only across concurrent
+// trials. The complete graph stays implicit (O(1) memory) — neighbor
+// iteration synthesizes the full fan-out, which keeps 10k+-node complete
+// topologies free of their O(n²) edge lists.
 //
 // Determinism contract: a generator is a pure function of its parameters
 // and the rng handed to it; adjacency lists are sorted by neighbor id, so
@@ -151,7 +151,7 @@ func (g *Graph) Neighbors(i int, yield func(j int, lat float64) bool) {
 
 // Adj returns node i's CSR adjacency row — neighbor ids and their base
 // latencies, ascending by neighbor id — for batch iteration without a
-// per-neighbor callback (the gossip relay hot loop). The slices alias
+// per-neighbor callback (the visibility flood's relay loop). The slices alias
 // the graph's storage and must be treated as read-only. Complete graphs
 // keep their adjacency implicit and return nil slices; callers fall
 // back to Neighbors, which synthesizes the fan-out.
@@ -284,91 +284,6 @@ func (g *Graph) HopDiameter() int {
 		}
 	}
 	return diam
-}
-
-// PathLatencies returns, for one source, the minimum summed base latency
-// to every node (Dijkstra) and the predecessor of each node on that
-// shortest path (-1 for the source and unreachable nodes). Used by the
-// transport layer to source-route unicast messages.
-func (g *Graph) PathLatencies(src int) (dist []float64, prev []int32) {
-	dist = make([]float64, g.n)
-	prev = make([]int32, g.n)
-	for i := range dist {
-		dist[i] = -1
-		prev[i] = -1
-	}
-	dist[src] = 0
-	if g.complete {
-		for j := 0; j < g.n; j++ {
-			if j != src {
-				dist[j] = g.lat
-				prev[j] = int32(src)
-			}
-		}
-		return dist, prev
-	}
-	// Value-typed binary heap of (latency, node); stale entries skipped.
-	type item struct {
-		d float64
-		v int32
-	}
-	heap := []item{{0, int32(src)}}
-	done := make([]bool, g.n)
-	push := func(it item) {
-		heap = append(heap, it)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if heap[p].d <= it.d {
-				break
-			}
-			heap[i] = heap[p]
-			i = p
-		}
-		heap[i] = it
-	}
-	pop := func() item {
-		min := heap[0]
-		last := heap[len(heap)-1]
-		heap = heap[:len(heap)-1]
-		if len(heap) > 0 {
-			i := 0
-			for {
-				l := 2*i + 1
-				if l >= len(heap) {
-					break
-				}
-				m := l
-				if r := l + 1; r < len(heap) && heap[r].d < heap[l].d {
-					m = r
-				}
-				if heap[m].d >= last.d {
-					break
-				}
-				heap[i] = heap[m]
-				i = m
-			}
-			heap[i] = last
-		}
-		return min
-	}
-	for len(heap) > 0 {
-		it := pop()
-		if done[it.v] {
-			continue
-		}
-		done[it.v] = true
-		for k := g.offsets[it.v]; k < g.offsets[it.v+1]; k++ {
-			v, d := g.targets[k], it.d+g.lats[k]
-			if done[v] || (dist[v] >= 0 && dist[v] <= d) {
-				continue
-			}
-			dist[v] = d
-			prev[v] = it.v
-			push(item{d, v})
-		}
-	}
-	return dist, prev
 }
 
 // validate panics on non-positive shape parameters shared by every

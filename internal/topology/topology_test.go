@@ -200,27 +200,6 @@ func TestDisconnected(t *testing.T) {
 	}
 }
 
-func TestPathLatencies(t *testing.T) {
-	// 0 -1- 1 -1- 2 with a slow shortcut 0 -3- 2: Dijkstra must take the
-	// two-hop path (cost 2) over the direct link (cost 3).
-	g, err := FromTable(3, []Link{{0, 1, 1}, {1, 2, 1}, {0, 2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, prev := g.PathLatencies(0)
-	if dist[2] != 2 || prev[2] != 1 || prev[1] != 0 {
-		t.Fatalf("dist=%v prev=%v", dist, prev)
-	}
-	// Unreachable nodes stay at -1.
-	d, err := FromTable(3, []Link{{0, 1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist, _ := d.PathLatencies(0); dist[2] != -1 {
-		t.Fatalf("unreachable dist = %v", dist[2])
-	}
-}
-
 func TestDelayModels(t *testing.T) {
 	rng := xrand.New(11, 3)
 	base := 0.4

@@ -84,21 +84,6 @@ func (p *PCG) Intn(n int) int {
 	}
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (p *PCG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n with non-positive n")
-	}
-	bound := uint64(n)
-	threshold := -bound % bound
-	for {
-		r := p.Uint64()
-		if r >= threshold {
-			return int64(r % bound)
-		}
-	}
-}
-
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (p *PCG) Float64() float64 {
 	return float64(p.Uint64()>>11) / (1 << 53)
@@ -122,36 +107,6 @@ func (p *PCG) Exp(lambda float64) float64 {
 	}
 }
 
-// Poisson returns a Poisson-distributed sample with mean lambda.
-// Knuth's multiplication method is used for small lambda; for large lambda
-// it falls back to the normal approximation with continuity correction,
-// which is accurate to well under the statistical noise of our experiments
-// for lambda >= 30.
-func (p *PCG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		if lambda == 0 {
-			return 0
-		}
-		panic("xrand: Poisson with negative mean")
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		prod := p.Float64()
-		for prod > l {
-			k++
-			prod *= p.Float64()
-		}
-		return k
-	}
-	for {
-		x := p.Norm(lambda, math.Sqrt(lambda)) + 0.5
-		if x >= 0 {
-			return int(x)
-		}
-	}
-}
-
 // Norm returns a normally distributed sample with the given mean and
 // standard deviation, via the Marsaglia polar method.
 func (p *PCG) Norm(mean, stddev float64) float64 {
@@ -161,33 +116,6 @@ func (p *PCG) Norm(mean, stddev float64) float64 {
 		s := u*u + v*v
 		if s > 0 && s < 1 {
 			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Binomial returns the number of successes among n independent trials with
-// success probability prob. It panics for prob outside [0,1] or n < 0.
-func (p *PCG) Binomial(n int, prob float64) int {
-	if n < 0 || prob < 0 || prob > 1 {
-		panic("xrand: Binomial with invalid parameters")
-	}
-	// Direct simulation is fine at our sizes (n up to a few thousand);
-	// for large n use the normal approximation.
-	if n <= 256 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if p.Float64() < prob {
-				k++
-			}
-		}
-		return k
-	}
-	mean := float64(n) * prob
-	sd := math.Sqrt(mean * (1 - prob))
-	for {
-		x := int(p.Norm(mean, sd) + 0.5)
-		if x >= 0 && x <= n {
-			return x
 		}
 	}
 }

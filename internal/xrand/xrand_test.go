@@ -120,34 +120,6 @@ func TestExpMoments(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	p := New(6, 6)
-	for _, lambda := range []float64{0.1, 1, 5, 20, 50, 200} {
-		sum, sumSq := 0.0, 0.0
-		const trials = 100000
-		for i := 0; i < trials; i++ {
-			x := float64(p.Poisson(lambda))
-			sum += x
-			sumSq += x * x
-		}
-		mean := sum / trials
-		variance := sumSq/trials - mean*mean
-		if math.Abs(mean-lambda) > 0.05*lambda+0.02 {
-			t.Errorf("Poisson(%v) mean = %v", lambda, mean)
-		}
-		if math.Abs(variance-lambda) > 0.1*lambda+0.05 {
-			t.Errorf("Poisson(%v) variance = %v", lambda, variance)
-		}
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	p := New(6, 7)
-	if got := p.Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
-	}
-}
-
 func TestNormMoments(t *testing.T) {
 	p := New(7, 7)
 	const mean, sd, trials = 3.0, 2.0, 200000
@@ -164,35 +136,6 @@ func TestNormMoments(t *testing.T) {
 	}
 	if math.Abs(v-sd*sd) > 0.1 {
 		t.Errorf("Norm variance = %v, want %v", v, sd*sd)
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	p := New(8, 8)
-	for _, tc := range []struct {
-		n    int
-		prob float64
-	}{{10, 0.5}, {100, 0.1}, {1000, 0.3}} {
-		sum := 0.0
-		const trials = 50000
-		for i := 0; i < trials; i++ {
-			sum += float64(p.Binomial(tc.n, tc.prob))
-		}
-		mean := sum / trials
-		want := float64(tc.n) * tc.prob
-		if math.Abs(mean-want) > 0.05*want+0.05 {
-			t.Errorf("Binomial(%d,%v) mean = %v, want %v", tc.n, tc.prob, mean, want)
-		}
-	}
-}
-
-func TestBinomialBounds(t *testing.T) {
-	p := New(8, 9)
-	for i := 0; i < 1000; i++ {
-		k := p.Binomial(500, 0.01)
-		if k < 0 || k > 500 {
-			t.Fatalf("Binomial out of range: %d", k)
-		}
 	}
 }
 
@@ -262,36 +205,11 @@ func BenchmarkUint64(b *testing.B) {
 	}
 }
 
-func BenchmarkPoissonSmall(b *testing.B) {
-	p := New(1, 1)
-	for i := 0; i < b.N; i++ {
-		_ = p.Poisson(2.5)
-	}
-}
-
 func BenchmarkExp(b *testing.B) {
 	p := New(1, 1)
 	for i := 0; i < b.N; i++ {
 		_ = p.Exp(1.5)
 	}
-}
-
-func TestInt63n(t *testing.T) {
-	p := New(20, 20)
-	for _, n := range []int64{1, 7, 1 << 40} {
-		for i := 0; i < 100; i++ {
-			v := p.Int63n(n)
-			if v < 0 || v >= n {
-				t.Fatalf("Int63n(%d) = %d", n, v)
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Int63n(0) did not panic")
-		}
-	}()
-	p.Int63n(0)
 }
 
 func TestExpPanics(t *testing.T) {
@@ -301,32 +219,6 @@ func TestExpPanics(t *testing.T) {
 		}
 	}()
 	New(1, 1).Exp(0)
-}
-
-func TestPoissonNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Poisson(-1) did not panic")
-		}
-	}()
-	New(1, 1).Poisson(-1)
-}
-
-func TestBinomialPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { New(1, 1).Binomial(-1, 0.5) },
-		func() { New(1, 1).Binomial(10, -0.1) },
-		func() { New(1, 1).Binomial(10, 1.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
 }
 
 func TestPickNegativeWeightPanics(t *testing.T) {
