@@ -80,8 +80,11 @@ distributed:
 	echo "distributed smoke: byte-identical, warm run fully cache-served"
 
 # Adversary-search smoke (~5s): a small-budget search must beat or match
-# the hand-coded preset it started from, and every promoted counterexample
-# committed under examples/scenarios/ must still reproduce its violation.
+# the hand-coded preset it started from; the same search on a 2-worker
+# fleet with a lease cache (one fleet serving every rung's run) must print
+# the same result, elapsed time and fleet line aside, with no lease
+# retried and no worker lost; and every promoted counterexample committed
+# under examples/scenarios/ must still reproduce its violation.
 SEARCH_ARGS ?= -protocol chain -n 9 -t 3 -lambda 0.5 -k 41 -tiebreak adversarial \
 	-attack fork -budget 960 -rungs 8,32 -seed 1
 search-smoke:
@@ -89,10 +92,16 @@ search-smoke:
 	$(GO) build -o $$tmp/amsearch ./cmd/amsearch; \
 	$$tmp/amsearch $(SEARCH_ARGS) | tee $$tmp/out.txt; \
 	grep -q '^best: ' $$tmp/out.txt; \
+	$$tmp/amsearch $(SEARCH_ARGS) -distribute 2 -cache $$tmp/c | tee $$tmp/fleet.txt; \
+	grep -q '^fleet: .* retries=0 lost=0$$' $$tmp/fleet.txt; \
+	for f in out fleet; do \
+		sed -E -e 's/ elapsed=[^ ]*//' -e '/^fleet: /d' $$tmp/$$f.txt > $$tmp/$$f.norm; \
+	done; \
+	cmp $$tmp/out.norm $$tmp/fleet.norm; \
 	for f in examples/scenarios/searched-*.json; do \
 		$$tmp/amsearch -replay $$f; \
 	done; \
-	echo "search smoke: search ran, all promoted counterexamples reproduce"
+	echo "search smoke: search ran inline and on a fleet with the same result, all promoted counterexamples reproduce"
 
 examples:
 	$(GO) run ./examples/quickstart

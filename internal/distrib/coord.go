@@ -1,7 +1,9 @@
 package distrib
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,7 +12,9 @@ import (
 
 // Config tunes one distributed sweep execution.
 type Config struct {
-	// Workers are the connected worker transports. Empty means every lease
+	// Workers are the connected worker transports. They outlive the run:
+	// one fleet serves any number of Run and RunAll calls, and whoever
+	// connected it closes it to end the session. Empty means every lease
 	// runs inline in this process (the cache still applies).
 	Workers []Transport
 	// Cache, when non-nil, serves completed leases by content address and
@@ -61,20 +65,58 @@ const DefaultChunkSize = 16
 type Stats struct {
 	Points     int // sweep points executed
 	Leases     int // total leases (cache hits included)
-	FromCache  int // leases served by the result cache
+	FromCache  int // leases served by the result cache, or by an earlier spec of a RunAll batch
 	Dispatched int // lease assignments sent to workers (retries included)
 	Inline     int // leases run in-process (no workers, or all lost)
 	Retries    int // lease reassignments after a worker was lost
 	LostWorker int // workers declared lost (died or timed out)
 }
 
+// Add accumulates another execution's counters.
+func (s *Stats) Add(o Stats) {
+	s.Points += o.Points
+	s.Leases += o.Leases
+	s.FromCache += o.FromCache
+	s.Dispatched += o.Dispatched
+	s.Inline += o.Inline
+	s.Retries += o.Retries
+	s.LostWorker += o.LostWorker
+}
+
+// SpecError attributes a RunAll failure to the spec that caused it.
+type SpecError struct {
+	Spec int // index into RunAll's specs
+	Err  error
+}
+
+func (e *SpecError) Error() string { return fmt.Sprintf("spec %d: %v", e.Spec, e.Err) }
+func (e *SpecError) Unwrap() error { return e.Err }
+
 // lease is one unit of dispatch: a sweep point's trial range.
 type lease struct {
-	id    int
-	point int // index into the expanded points
+	id    int // batch-wide, in plan order
+	spec  int // index of the spec in the batch
+	point int // index into the spec's expanded points
 	lo    int // trial range [lo, hi)
 	hi    int
-	key   string // content address (cache + dedup)
+	key   string         // content address (cache + dedup)
+	wire  *scenario.Spec // the point spec a worker runs
+	bound *boundEntry    // the coordinator's binding, for inline runs
+
+	vals [][]uint64 // the resolved trial vectors
+	// src, set only with a cache, is the batch's first lease with the same
+	// key, planned by an earlier spec: this lease shares its vectors.
+	src *lease
+}
+
+// plan is one spec's share of a batch: its expanded points and leases.
+type plan struct {
+	spec   scenario.Spec
+	names  []string
+	defs   []scenario.MetricDef
+	trials int
+	points []scenario.Point
+	leases []*lease
 }
 
 // outcome is one manager report back to the coordinator loop.
@@ -87,14 +129,100 @@ type outcome struct {
 
 // Run executes the spec's sweep across the configured workers and merges
 // the results in (point, chunk, trial) order, yielding a SweepResult
-// byte-identical to scenario.RunSpec(spec, ...) at the same seed.
+// byte-identical to scenario.RunSpec(spec, ...) at the same seed. It is
+// RunAll over the one spec.
 func Run(spec scenario.Spec, cfg Config) (*scenario.SweepResult, *Stats, error) {
+	res, stats, err := RunAll([]scenario.Spec{spec}, cfg)
+	if err != nil {
+		var se *SpecError
+		if errors.As(err, &se) {
+			err = se.Err
+		}
+		return nil, nil, err
+	}
+	return res[0], stats, nil
+}
+
+// RunAll executes several specs' sweeps as one batch: every spec's leases
+// are planned as Run plans them (same keys, cache lookups and adaptive
+// probe), all of them go through one dispatch over the fleet, and each
+// spec is merged on its own. Results and Stats equal those of one Run per
+// spec in order. With a cache, a lease whose key an earlier spec of the
+// batch already planned is resolved from that earlier lease and counted
+// as FromCache, as the sequential Run would have found it in the cache
+// (barring an eviction in between). A failure is a *SpecError naming the
+// spec: configuration errors surface before any lease runs, and a lease
+// failure aborts the whole batch.
+func RunAll(specs []scenario.Spec, cfg Config) ([]*scenario.SweepResult, *Stats, error) {
+	stats := &Stats{}
+	plans := make([]*plan, len(specs))
+	var todo []*lease
+	var earlier map[string]*lease // with a cache: first lease per key
+	if cfg.Cache != nil {
+		earlier = map[string]*lease{}
+	}
+	nextID := 0
+	for i, spec := range specs {
+		p, err := planSpec(spec, i, nextID, cfg, stats)
+		if err != nil {
+			return nil, nil, &SpecError{Spec: i, Err: err}
+		}
+		plans[i] = p
+		nextID += len(p.leases)
+		// Serve what the batch or the cache already knows (the probe lease,
+		// if any, is already resolved).
+		for _, l := range p.leases {
+			if l.vals != nil {
+				continue
+			}
+			if src := earlier[l.key]; src != nil {
+				l.src = src
+				stats.FromCache++
+				continue
+			}
+			if cfg.Cache != nil {
+				if vals, ok := cfg.Cache.Get(l.key); ok {
+					l.vals = vals
+					stats.FromCache++
+					continue
+				}
+			}
+			todo = append(todo, l)
+		}
+		if earlier != nil {
+			for _, l := range p.leases {
+				if earlier[l.key] == nil {
+					earlier[l.key] = l
+				}
+			}
+		}
+	}
+
+	if err := dispatchLeases(todo, cfg, stats); err != nil {
+		return nil, nil, err
+	}
+
+	out := make([]*scenario.SweepResult, len(plans))
+	for i, p := range plans {
+		res, err := p.merge()
+		if err != nil {
+			return nil, nil, &SpecError{Spec: i, Err: err}
+		}
+		out[i] = res
+	}
+	return out, stats, nil
+}
+
+// planSpec binds every point of one spec and plans its leases point-major
+// in chunk order, numbering them from firstID. Points, leases and the
+// adaptive probe (run here, inline) are counted into stats.
+func planSpec(spec scenario.Spec, specIdx, firstID int, cfg Config, stats *Stats) (*plan, error) {
 	if spec.Checkpoint {
-		return nil, nil, fmt.Errorf("distrib: checkpointed sweeps are in-process only (a checkpoint cannot cross a process boundary); drop -distribute or checkpoint")
+		return nil, fmt.Errorf("distrib: checkpointed sweeps are in-process only (a checkpoint cannot cross a process boundary); drop -distribute or checkpoint")
 	}
 	names, defs, err := scenario.ResolveMetrics(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	trials := spec.Trials
 	if trials <= 0 {
@@ -110,7 +238,7 @@ func Run(spec scenario.Spec, cfg Config) (*scenario.SweepResult, *Stats, error) 
 	}
 	points, err := spec.Expand()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Pre-bind every point, exactly like the in-process executor: all
@@ -120,23 +248,14 @@ func Run(spec scenario.Spec, cfg Config) (*scenario.SweepResult, *Stats, error) 
 	for i, pt := range points {
 		b, err := scenario.Bind(pt.Spec)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		extract, err := b.MetricExtractors(defs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		bounds[i] = &boundEntry{bound: b, extract: extract}
 	}
-
-	// Plan the leases point-major in chunk order. The wire spec pins the
-	// resolved metric names so a worker (and the cache key) can never
-	// disagree with the coordinator about what to extract; the PointResult
-	// keeps the original point spec untouched.
-	stats := &Stats{Points: len(points)}
-	var leases []*lease
-	wireSpecs := make([]scenario.Spec, len(points))
-	results := make(map[int][][]uint64) // lease id → trial vectors
 
 	// Adaptive sizing: run the first chunk of the first point inline as a
 	// timed probe, then scale the remaining chunks so one lease takes about
@@ -166,104 +285,94 @@ func Run(spec scenario.Spec, cfg Config) (*scenario.SweepResult, *Stats, error) 
 		}
 	}
 
+	// The wire spec pins the resolved metric names so a worker (and the
+	// cache key) can never disagree with the coordinator about what to
+	// extract; the PointResult keeps the original point spec untouched.
+	p := &plan{spec: spec, names: names, defs: defs, trials: trials, points: points}
+	add := func(point, lo, hi int, wire *scenario.Spec) *lease {
+		l := &lease{id: firstID + len(p.leases), spec: specIdx, point: point, lo: lo, hi: hi,
+			key: LeaseKey(*wire, wire.Seed, lo, hi), wire: wire, bound: bounds[point]}
+		p.leases = append(p.leases, l)
+		return l
+	}
 	for i, pt := range points {
-		ws := pt.Spec
-		ws.Metrics = names
-		wireSpecs[i] = ws
+		wire := pt.Spec
+		wire.Metrics = names
 		lo := 0
 		if i == 0 && probeHi > 0 {
 			// The probe is point 0's first lease, already resolved.
-			l := &lease{id: len(leases), point: 0, lo: 0, hi: probeHi,
-				key: LeaseKey(ws, ws.Seed, 0, probeHi)}
-			leases = append(leases, l)
-			results[l.id] = probeVals
+			add(0, 0, probeHi, &wire).vals = probeVals
 			stats.Inline++
 			lo = probeHi
 		}
 		for ; lo < trials; lo += chunk {
-			hi := lo + chunk
-			if hi > trials {
-				hi = trials
-			}
-			l := &lease{id: len(leases), point: i, lo: lo, hi: hi,
-				key: LeaseKey(ws, ws.Seed, lo, hi)}
-			leases = append(leases, l)
+			add(i, lo, min(lo+chunk, trials), &wire)
 		}
 	}
-	stats.Leases = len(leases)
+	stats.Points += len(points)
+	stats.Leases += len(p.leases)
+	return p, nil
+}
 
-	// Serve what the cache already knows (the probe lease, if any, is
-	// already resolved).
-	var todo []*lease
-	for _, l := range leases {
-		if _, done := results[l.id]; done {
-			continue
-		}
-		if cfg.Cache != nil {
-			if vals, ok := cfg.Cache.Get(l.key); ok {
-				results[l.id] = vals
-				stats.FromCache++
-				continue
-			}
-		}
-		todo = append(todo, l)
-	}
-
-	record := func(l *lease, vals [][]uint64) {
-		results[l.id] = vals
-		if cfg.Cache != nil {
-			cfg.Cache.Put(l.key, vals)
-		}
-	}
-	inline := func(l *lease) {
-		stats.Inline++
-		record(l, PackVals(bounds[l.point].bound.RunTrialValues(bounds[l.point].extract, l.lo, l.hi, cfg.InlineWorkers)))
-	}
-
-	if err := dispatchLeases(todo, wireSpecs, cfg, stats, record, inline); err != nil {
-		return nil, nil, err
-	}
-
-	// Merge: per point, concatenate the chunk vectors in chunk order and
-	// replay the in-process fold.
-	out := &scenario.SweepResult{Spec: spec}
-	for _, ax := range spec.Sweep {
+// merge concatenates, per point, the chunk vectors in chunk order and
+// replays the in-process fold.
+func (p *plan) merge() (*scenario.SweepResult, error) {
+	out := &scenario.SweepResult{Spec: p.spec}
+	for _, ax := range p.spec.Sweep {
 		out.Axes = append(out.Axes, ax.Name)
 	}
-	byPoint := make([][][]float64, len(points))
+	byPoint := make([][][]float64, len(p.points))
 	for i := range byPoint {
-		byPoint[i] = make([][]float64, 0, trials)
+		byPoint[i] = make([][]float64, 0, p.trials)
 	}
-	for _, l := range leases {
-		vals, ok := results[l.id]
-		if !ok || len(vals) != l.hi-l.lo {
-			return nil, nil, fmt.Errorf("distrib: lease %d (point %d trials [%d,%d)) yielded %d vectors, want %d",
+	for _, l := range p.leases {
+		vals := l.vals
+		if l.src != nil {
+			vals = l.src.vals
+		}
+		if len(vals) != l.hi-l.lo {
+			return nil, fmt.Errorf("distrib: lease %d (point %d trials [%d,%d)) yielded %d vectors, want %d",
 				l.id, l.point, l.lo, l.hi, len(vals), l.hi-l.lo)
 		}
 		byPoint[l.point] = append(byPoint[l.point], UnpackVals(vals)...)
 	}
-	for i, pt := range points {
+	for i, pt := range p.points {
 		out.Points = append(out.Points, scenario.PointResult{
-			Spec: pt.Spec, Coords: pt.Coords, Trials: trials,
-			Metrics: scenario.FoldMetrics(names, defs, trials, byPoint[i]),
+			Spec: pt.Spec, Coords: pt.Coords, Trials: p.trials,
+			Metrics: scenario.FoldMetrics(p.names, p.defs, p.trials, byPoint[i]),
 		})
 	}
-	return out, stats, nil
+	return out, nil
+}
+
+// resolve records a computed lease result, and stores it in the cache.
+func (l *lease) resolve(vals [][]uint64, cache *Cache) {
+	l.vals = vals
+	if cache != nil {
+		cache.Put(l.key, vals)
+	}
+}
+
+// runInline runs one lease in this process.
+func runInline(l *lease, cfg Config, stats *Stats) {
+	stats.Inline++
+	l.resolve(PackVals(l.bound.bound.RunTrialValues(l.bound.extract, l.lo, l.hi, cfg.InlineWorkers)), cfg.Cache)
 }
 
 // dispatchLeases drives the worker fleet over the todo list: every worker
 // gets a manager goroutine pulling from one shared lease channel, lost
 // workers (transport error or lease timeout) have their in-flight lease
 // reassigned, and when no workers remain the leftovers run inline — a
-// killed worker can change wall clock, never output.
-func dispatchLeases(todo []*lease, wireSpecs []scenario.Spec, cfg Config, stats *Stats,
-	record func(*lease, [][]uint64), inline func(*lease)) error {
+// killed worker can change wall clock, never output. It returns only once
+// every manager has, so no goroutine is left reading a transport: the
+// fleet is ready for the next run.
+func dispatchLeases(todo []*lease, cfg Config, stats *Stats) error {
 	if len(todo) == 0 {
 		return nil
 	}
 	if len(cfg.Workers) == 0 {
 		for _, l := range todo {
-			inline(l)
+			runInline(l, cfg, stats)
 		}
 		return nil
 	}
@@ -282,10 +391,14 @@ func dispatchLeases(todo []*lease, wireSpecs []scenario.Spec, cfg Config, stats 
 		leaseCh <- l
 	}
 	var dispatched atomic.Int64
+	var managers sync.WaitGroup
 	for _, w := range cfg.Workers {
-		go manage(w, wireSpecs, leaseCh, outcomes, timeout, &dispatched)
+		managers.Add(1)
+		go func() {
+			defer managers.Done()
+			manage(w, leaseCh, outcomes, timeout, &dispatched)
+		}()
 	}
-	defer func() { stats.Dispatched = int(dispatched.Load()) }()
 
 	live := len(cfg.Workers)
 	pending := len(todo)
@@ -301,21 +414,25 @@ func dispatchLeases(todo []*lease, wireSpecs []scenario.Spec, cfg Config, stats 
 				leaseCh <- o.l
 			}
 		case o.err != nil:
-			firstErr = o.err
+			firstErr = &SpecError{Spec: o.l.spec, Err: o.err}
 		default:
-			record(o.l, o.vals)
+			o.l.resolve(o.vals, cfg.Cache)
 			pending--
 		}
 	}
-	// Unblock the surviving managers. Drain first so an abort (or the
-	// all-workers-lost fallback) does not leave them grinding stale work.
+	// Release the surviving managers. Drain first so an abort (or the
+	// all-workers-lost fallback) does not leave them grinding stale work;
+	// a manager with a lease in flight finishes it, and its outcome is
+	// dropped.
 	remaining := drain(leaseCh)
 	close(leaseCh)
+	managers.Wait()
+	stats.Dispatched += int(dispatched.Load())
 	if firstErr != nil {
 		return firstErr
 	}
 	for _, l := range remaining {
-		inline(l)
+		runInline(l, cfg, stats)
 	}
 	return nil
 }
@@ -333,70 +450,56 @@ func drain(ch chan *lease) []*lease {
 	}
 }
 
-// recvMsg is one frame (or stream error) from a worker's reader.
-type recvMsg struct {
-	m   Msg
-	err error
-}
-
-// manage drives one worker: send a lease, await its reply under the
-// timeout, repeat. Any transport error or timeout retires the worker —
-// the transport is closed so a straggling reply can never surface later,
-// which is what makes duplicate results impossible and reassignment safe.
-func manage(t Transport, wireSpecs []scenario.Spec, leaseCh chan *lease, outcomes chan<- outcome,
+// manage drives one worker for one dispatch: send a lease, await its
+// reply under the timeout, repeat until the lease channel closes. It
+// reads the transport only synchronously, inside exchange, so once the
+// dispatch returns nothing reads it and the worker's next reply belongs
+// to the next run. Any transport error, timeout or unpaired reply retires
+// the worker: its transport is closed, so a straggling reply can never
+// surface later, which makes duplicate results impossible and
+// reassignment safe. A retired worker stays closed; later runs fail on
+// Send and reassign its leases the same way.
+func manage(t Transport, leaseCh <-chan *lease, outcomes chan<- outcome,
 	timeout time.Duration, dispatched *atomic.Int64) {
-	recvCh := make(chan recvMsg, 4)
-	go func() {
-		for {
-			var m Msg
-			if err := t.Recv(&m); err != nil {
-				recvCh <- recvMsg{err: err}
-				return
-			}
-			recvCh <- recvMsg{m: m}
-		}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
 	for l := range leaseCh {
-		spec := wireSpecs[l.point]
 		dispatched.Add(1)
-		if err := t.Send(&Msg{Type: msgLease, ID: l.id, Spec: &spec, Lo: l.lo, Hi: l.hi}); err != nil {
-			t.Close()
+		m, ok := exchange(t, &Msg{Type: msgLease, ID: l.id, Spec: l.wire, Lo: l.lo, Hi: l.hi}, timeout)
+		switch {
+		case !ok:
 			outcomes <- outcome{l: l, lost: true}
 			return
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(timeout)
-		select {
-		case rm := <-recvCh:
-			switch {
-			case rm.err != nil:
-				t.Close()
-				outcomes <- outcome{l: l, lost: true}
-				return
-			case rm.m.Type == msgError && rm.m.ID == l.id:
-				outcomes <- outcome{l: l, err: fmt.Errorf("distrib: lease %d (point %d trials [%d,%d)): %s",
-					l.id, l.point, l.lo, l.hi, rm.m.Err)}
-			case rm.m.Type == msgResult && rm.m.ID == l.id:
-				outcomes <- outcome{l: l, vals: rm.m.Vals}
-			default:
-				// Protocol confusion (wrong id, unexpected type): the worker
-				// can no longer be trusted to pair replies with leases.
-				t.Close()
-				outcomes <- outcome{l: l, lost: true}
-				return
-			}
-		case <-timer.C:
+		case m.Type == msgError && m.ID == l.id:
+			outcomes <- outcome{l: l, err: fmt.Errorf("distrib: lease %d (point %d trials [%d,%d)): %s",
+				l.id, l.point, l.lo, l.hi, m.Err)}
+		case m.Type == msgResult && m.ID == l.id:
+			outcomes <- outcome{l: l, vals: m.Vals}
+		default:
+			// Protocol confusion (wrong id, unexpected type): the worker
+			// can no longer be trusted to pair replies with leases.
 			t.Close()
 			outcomes <- outcome{l: l, lost: true}
 			return
 		}
 	}
-	t.Send(&Msg{Type: msgBye})
+}
+
+// exchange sends one message and receives its reply within the timeout.
+// On expiry a timer closes the transport, which unblocks the pending Send
+// or Recv; a reply that races the timer counts as lost. A failed exchange
+// leaves the transport closed.
+func exchange(t Transport, out *Msg, timeout time.Duration) (Msg, bool) {
+	timer := time.AfterFunc(timeout, func() { t.Close() })
+	var in Msg
+	err := t.Send(out)
+	if err == nil {
+		err = t.Recv(&in)
+	}
+	if !timer.Stop() {
+		return in, false // the timer has closed t, or is closing it
+	}
+	if err != nil {
+		t.Close()
+		return in, false
+	}
+	return in, true
 }

@@ -50,6 +50,12 @@ func transports(procs []*Proc) []Transport {
 	return ts
 }
 
+func closeAll(ws []Transport) {
+	for _, w := range ws {
+		w.Close()
+	}
+}
+
 // quickSpecs is the differential suite: every substrate (chain, dag,
 // sync), sweeps over numeric and string axes, mean and rate metrics
 // (NaN-bearing decide-time included), heterogeneous rates, a sparse
@@ -209,6 +215,30 @@ func TestLeaseTimeoutReassigns(t *testing.T) {
 	}
 	if stats.Retries == 0 {
 		t.Fatalf("timed-out lease was not reassigned: %+v", stats)
+	}
+}
+
+// A worker retired in one run stays closed for the session: the next run
+// on the same fleet loses it again at once and reassigns its lease, while
+// the healthy worker keeps serving both runs.
+func TestLostWorkerStaysClosedAcrossRuns(t *testing.T) {
+	spec := scenario.Spec{Name: "retired", Protocol: scenario.Chain, N: 8, T: 2, Lambda: 1, K: 15,
+		Attack: "fork", Trials: 16, Seed: 6}
+	local := mustRunLocal(t, spec)
+	stuck := newScriptedTransport()
+	stuck.script = func(m *Msg) *Msg { return nil }
+	good := Loopback()
+	defer good.Close()
+	cfg := Config{Workers: []Transport{stuck, good}, ChunkSize: 1, LeaseTimeout: 50 * time.Millisecond}
+	for run := 0; run < 2; run++ {
+		dist, stats, err := Run(spec, cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		assertSameResult(t, spec, local, dist)
+		if stats.LostWorker != 1 || stats.Inline != 0 || stats.Dispatched-stats.Retries != stats.Leases {
+			t.Fatalf("run %d: want the stuck worker lost and every lease served by the healthy one: %+v", run, stats)
+		}
 	}
 }
 

@@ -15,10 +15,9 @@ func TestProcessWorkersMatchLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
+	// One fleet serves every spec: a session outlives its runs.
+	procs := spawnProcWorkers(t, 3)
 	for _, spec := range quickSpecs() {
-		// One worker fleet per run: a Run consumes its workers (the
-		// coordinator ends the session with bye), exactly as amrun does.
-		procs := spawnProcWorkers(t, 3)
 		local := mustRunLocal(t, spec)
 		dist, stats, err := Run(spec, Config{Workers: transports(procs), ChunkSize: 3})
 		if err != nil {
@@ -30,6 +29,42 @@ func TestProcessWorkersMatchLocal(t *testing.T) {
 		}
 		if stats.LostWorker != 0 {
 			t.Fatalf("spec %s: healthy workers reported lost: %+v", spec.Name, stats)
+		}
+	}
+}
+
+// A fleet serves run after run: three Runs over one spawned fleet and
+// over one loopback fleet each match the local run with every lease
+// dispatched (nothing lost, retried or run inline), and a spawned worker
+// exits cleanly once its transport is closed.
+func TestFleetReuseAcrossRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	specs := quickSpecs()[:3]
+	procs := spawnProcWorkers(t, 2)
+	fleets := map[string][]Transport{
+		"spawned":  transports(procs),
+		"loopback": {Loopback(), Loopback()},
+	}
+	defer closeAll(fleets["loopback"])
+	for name, ws := range fleets {
+		for _, spec := range specs {
+			local := mustRunLocal(t, spec)
+			dist, stats, err := Run(spec, Config{Workers: ws, ChunkSize: 3})
+			if err != nil {
+				t.Fatalf("%s fleet, spec %s: %v", name, spec.Name, err)
+			}
+			assertSameResult(t, spec, local, dist)
+			if stats.Retries != 0 || stats.LostWorker != 0 || stats.Inline != 0 || stats.Dispatched != stats.Leases {
+				t.Fatalf("%s fleet, spec %s: a live fleet lost, retried or inlined leases: %+v", name, spec.Name, stats)
+			}
+		}
+	}
+	for _, p := range procs {
+		p.Close()
+		if st := p.cmd.ProcessState; st == nil || !st.Success() {
+			t.Fatalf("worker %d did not exit cleanly after Close: %v", p.Pid(), st)
 		}
 	}
 }

@@ -22,8 +22,9 @@ import (
 
 // Version is the wire protocol version; both ends send it in their hello
 // and refuse to talk across a mismatch (a stale amworker binary must fail
-// loudly, not corrupt a sweep).
-const Version = 1
+// loudly, not corrupt a sweep). Version 2 has no bye: a session ends when
+// the coordinator closes the transport.
+const Version = 2
 
 // maxFrame bounds a single frame; a lease for a huge topology table or a
 // result for a huge chunk stays far below this.
@@ -43,8 +44,6 @@ const (
 	// failure (bind error, trial panic). Never retried: the same lease
 	// would fail everywhere.
 	msgError msgType = "error"
-	// msgBye (coordinator → worker) ends the session; the worker exits.
-	msgBye msgType = "bye"
 )
 
 // Msg is the single wire envelope. Fields are populated per Type.

@@ -12,8 +12,8 @@ import (
 
 // Transport is one framed, ordered, bidirectional message channel to a
 // worker. Send and Recv are each used from one goroutine at a time (the
-// coordinator pairs every worker with one manager goroutine); Close may
-// race with either and unblocks a pending Recv.
+// coordinator pairs every worker with one manager goroutine per run);
+// Close may race with either and unblocks a pending Send or Recv.
 type Transport interface {
 	Send(*Msg) error
 	Recv(*Msg) error
@@ -109,7 +109,8 @@ func handshake(t Transport) error {
 // Proc is one spawned local worker process with its stdio transport.
 type Proc struct {
 	Transport
-	cmd *exec.Cmd
+	cmd  *exec.Cmd
+	wait sync.Once
 }
 
 // Kill terminates the worker process without ceremony — the coordinator's
@@ -119,10 +120,12 @@ func (p *Proc) Kill() error { return p.cmd.Process.Kill() }
 // Pid returns the worker's OS process id.
 func (p *Proc) Pid() int { return p.cmd.Process.Pid }
 
-// Close closes the transport and reaps the process.
+// Close closes the transport, which ends the worker's session, and reaps
+// the process. Concurrent and repeated calls are safe; each returns once
+// the process has exited.
 func (p *Proc) Close() error {
 	err := p.Transport.Close()
-	p.cmd.Wait()
+	p.wait.Do(func() { p.cmd.Wait() })
 	return err
 }
 
@@ -177,8 +180,9 @@ func SpawnN(n int, argv []string, env []string) ([]*Proc, error) {
 // Connect assembles a worker fleet: the remote workers at addrs (a
 // comma-separated list, possibly empty) followed by spawn local workers,
 // each a re-execution of the running binary with its -amworker flag. The
-// returned func closes every worker. On error, workers already connected
-// are closed.
+// fleet serves any number of runs; the returned func closes every worker,
+// which ends their sessions. On error, workers already connected are
+// closed.
 func Connect(spawn int, addrs string) ([]Transport, func(), error) {
 	var ws []Transport
 	closeAll := func() {
@@ -213,7 +217,8 @@ func Connect(spawn int, addrs string) ([]Transport, func(), error) {
 
 // Loopback starts an in-process worker goroutine running Serve and
 // returns the coordinator-side transport — the zero-overhead harness for
-// tests and benchmarks of the dispatch/merge machinery.
+// tests and benchmarks of the dispatch/merge machinery. Closing the
+// transport ends the worker goroutine.
 func Loopback() Transport {
 	cr, cw := io.Pipe() // coordinator → worker
 	wr, ww := io.Pipe() // worker → coordinator

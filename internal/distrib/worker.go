@@ -9,9 +9,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// boundEntry caches one resolved point spec on the worker: consecutive
-// leases of the same sweep point (different trial ranges) rebind nothing
-// — in particular a topology graph and its route plane are built once.
+// boundEntry caches one resolved point spec on the worker: later leases
+// of the same sweep point (other trial ranges, in this run or a later one
+// of the session) rebind nothing — in particular a topology graph is
+// built once.
 type boundEntry struct {
 	bound   *scenario.Bound
 	extract []func(*scenario.Result) float64
@@ -51,11 +52,13 @@ func runLease(bound *boundEntry, lo, hi int) (vals [][]float64, err error) {
 }
 
 // Serve runs the worker side of the protocol on one transport until the
-// coordinator says bye or the stream closes: answer the hello, then turn
-// every lease into a result (or a deterministic error). The worker runs
-// one lease at a time — parallelism inside a lease comes from the
-// process-wide trial pool, and parallelism across leases from the
-// coordinator driving many workers.
+// coordinator closes the stream: answer the hello, then turn every lease
+// into a result (or a deterministic error). The session outlives any one
+// sweep: a coordinator sends the leases of many runs over it, and the
+// bound specs cached here serve them all. The worker runs one lease at a
+// time — parallelism inside a lease comes from the process-wide trial
+// pool, and parallelism across leases from the coordinator driving many
+// workers.
 func Serve(t Transport) error {
 	var m Msg
 	if err := t.Recv(&m); err != nil {
@@ -80,8 +83,6 @@ func Serve(t Transport) error {
 			return err
 		}
 		switch m.Type {
-		case msgBye:
-			return nil
 		case msgLease:
 			if m.Spec == nil {
 				return fmt.Errorf("distrib: lease %d without a spec", m.ID)
@@ -105,8 +106,9 @@ func handleLease(bounds map[string]*boundEntry, m *Msg) *Msg {
 		if entry, err = bindSpec(*m.Spec); err != nil {
 			return &Msg{Type: msgError, ID: m.ID, Err: err.Error()}
 		}
-		// The cache is per sweep: a handful of points, each bound once. A
-		// pathological session cycling thousands of specs just starts over.
+		// The cache lives as long as the session, which may serve many
+		// sweeps (a search binds a spec per candidate per rung): past the
+		// bound it just starts over.
 		if len(bounds) >= 256 {
 			clear(bounds)
 		}

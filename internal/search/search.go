@@ -12,7 +12,10 @@
 // seed yields the same candidate order, the same rung decisions and the
 // same winner, regardless of worker count or fleet shape: evaluations go
 // through internal/distrib, whose results are byte-identical to the
-// in-process executor, and rung survival orders by (score, index).
+// in-process executor, and rung survival orders by (score, index). A
+// rung is evaluated as one distrib.RunAll batch over every active
+// candidate, so a worker fleet load-balances the whole rung instead of
+// one candidate's few leases at a time, and the fleet serves every rung.
 // Escalating a survivor from a small rung to a larger one re-runs the
 // same leading trial chunks, which a distrib result cache serves by
 // content address — so halving's apparent re-execution cost mostly
@@ -20,6 +23,7 @@
 package search
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -238,14 +242,10 @@ func Run(cfg Config) (*Result, error) {
 		active[i] = Eval{Candidate: c}
 	}
 	for ri, rung := range rungs {
-		for i := range active {
-			ev, err := evaluate(spec, active[i].Candidate, obj, metricName, rung, cfg.Distrib, &res.Stats)
-			if err != nil {
-				return nil, err
-			}
-			active[i] = ev
-			res.TrialsUsed += rung
+		if err := evaluateRung(spec, active, obj, metricName, rung, cfg.Distrib, &res.Stats); err != nil {
+			return nil, err
 		}
+		res.TrialsUsed += rung * len(active)
 		// Score descending, index ascending: the order is total, so the
 		// trajectory cannot depend on sort internals or map iteration.
 		sort.SliceStable(active, func(i, j int) bool {
@@ -352,41 +352,49 @@ func schemaOf(spec scenario.Spec) (adversary.Schema, error) {
 	return def.Schema, nil
 }
 
-// evaluate measures one candidate at one rung via the distributed
-// executor (which degenerates to the in-process path without workers).
-func evaluate(base scenario.Spec, c Candidate, obj Objective, metricName string,
-	trials int, dcfg distrib.Config, acc *distrib.Stats) (Eval, error) {
-	sp := base
-	sp.Trials = trials
-	if len(c.Params) > 0 {
-		// The candidate's assignment is complete, so it replaces rather
-		// than merges any base overrides.
-		sp.AttackParams = c.Params
+// evaluateRung measures every active candidate at one rung with a single
+// distributed batch (which degenerates to the in-process path without
+// workers), so the whole rung load-balances across the fleet, and
+// overwrites each Eval with its measurement.
+func evaluateRung(base scenario.Spec, active []Eval, obj Objective, metricName string,
+	trials int, dcfg distrib.Config, acc *distrib.Stats) error {
+	specs := make([]scenario.Spec, len(active))
+	for i, ev := range active {
+		sp := base
+		sp.Trials = trials
+		if len(ev.Params) > 0 {
+			// The candidate's assignment is complete, so it replaces rather
+			// than merges any base overrides.
+			sp.AttackParams = ev.Params
+		}
+		specs[i] = sp
 	}
-	res, stats, err := distrib.Run(sp, dcfg)
+	results, stats, err := distrib.RunAll(specs, dcfg)
 	if err != nil {
-		return Eval{}, fmt.Errorf("search: candidate %d (%s): %w", c.Index, c.Origin, err)
+		var se *distrib.SpecError
+		if errors.As(err, &se) {
+			c := active[se.Spec].Candidate
+			return fmt.Errorf("search: candidate %d (%s): %w", c.Index, c.Origin, se.Err)
+		}
+		return fmt.Errorf("search: %w", err)
 	}
-	acc.Points += stats.Points
-	acc.Leases += stats.Leases
-	acc.FromCache += stats.FromCache
-	acc.Dispatched += stats.Dispatched
-	acc.Inline += stats.Inline
-	acc.Retries += stats.Retries
-	acc.LostWorker += stats.LostWorker
-	ev := Eval{Candidate: c, Trials: trials}
-	for _, mv := range res.Points[0].Metrics {
-		switch mv.Name {
-		case metricName:
-			ev.Metric = mv.Value
-			ev.Score = obj.Score(mv.Value)
-		case "violations":
-			if !math.IsNaN(mv.Value) {
-				ev.Violations = mv.Value
+	acc.Add(*stats)
+	for i, res := range results {
+		ev := Eval{Candidate: active[i].Candidate, Trials: trials}
+		for _, mv := range res.Points[0].Metrics {
+			switch mv.Name {
+			case metricName:
+				ev.Metric = mv.Value
+				ev.Score = obj.Score(mv.Value)
+			case "violations":
+				if !math.IsNaN(mv.Value) {
+					ev.Violations = mv.Value
+				}
 			}
 		}
+		active[i] = ev
 	}
-	return ev, nil
+	return nil
 }
 
 // Generate builds the deterministic candidate pool: the base preset

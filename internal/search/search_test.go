@@ -113,6 +113,40 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// A search over a live loopback fleet with a cache reproduces the inline
+// search, and the fleet serves every rung: no lease is lost, retried or
+// run inline.
+func TestSearchOnFleetMatchesInline(t *testing.T) {
+	inline, err := Run(searchConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := searchConfig(1)
+	cache, err := distrib.NewCache("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := []distrib.Transport{distrib.Loopback(), distrib.Loopback()}
+	defer func() {
+		for _, w := range ws {
+			w.Close()
+		}
+	}()
+	cfg.Distrib.Workers, cfg.Distrib.Cache = ws, cache
+	fleet, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := fleet.Stats
+	if st.Retries != 0 || st.LostWorker != 0 || st.Inline != 0 || st.Dispatched == 0 || st.FromCache == 0 {
+		t.Fatalf("fleet search lost, retried or inlined leases, or never hit the cache: %+v", st)
+	}
+	inline.Stats, fleet.Stats = distrib.Stats{}, distrib.Stats{}
+	if !reflect.DeepEqual(inline, fleet) {
+		t.Fatalf("fleet search diverged from the inline search:\ninline: %+v\nfleet:  %+v", inline, fleet)
+	}
+}
+
 func TestSearchBestAtLeastPreset(t *testing.T) {
 	res, err := Run(searchConfig(0))
 	if err != nil {

@@ -167,8 +167,15 @@ func TestFromTable(t *testing.T) {
 	}
 }
 
-func TestParseTable(t *testing.T) {
-	g, err := ParseTable([]byte(`{"n": 3, "links": [[0,1,0.5], [1,2]]}`))
+// TableLinks + FromTable is how the scenario layer loads a latency
+// table: omitted latencies default to 1, and malformed rows are rejected
+// before a graph is built.
+func TestTableLinks(t *testing.T) {
+	links, err := TableLinks([][]float64{{0, 1, 0.5}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := FromTable(3, links)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +185,25 @@ func TestParseTable(t *testing.T) {
 	if lat, _ := g.Link(1, 2); lat != 1 {
 		t.Fatalf("default lat(1,2) = %v", lat)
 	}
-	for _, bad := range []string{
-		`{"n": 3, "links": [[0]]}`,
-		`{"n": 3, "links": [[0,1,1,1]]}`,
-		`{"n": 3, "links": [[0.5,1]]}`,
-		`{"n": 3, "linksss": []}`,
+	for _, bad := range [][][]float64{
+		{{0}},          // too short
+		{{0, 1, 1, 1}}, // too long
+		{{0.5, 1}},     // non-integer endpoint
 	} {
-		if _, err := ParseTable([]byte(bad)); err == nil {
-			t.Fatalf("ParseTable accepted %s", bad)
+		if _, err := TableLinks(bad); err == nil {
+			t.Fatalf("TableLinks accepted %v", bad)
+		}
+	}
+	for _, bad := range [][][]float64{
+		{{0, 3}},    // out of range
+		{{0, 1, 0}}, // explicit non-positive latency
+	} {
+		links, err := TableLinks(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FromTable(3, links); err == nil {
+			t.Fatalf("FromTable accepted %v", bad)
 		}
 	}
 }
